@@ -80,10 +80,13 @@ def _emit(obj, out_path=None):
 
 def _cmd_gen_matrix(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.family == "gaussian":
-        mat = gen_gaussian_normalized(args.m, args.n, seed)
-    else:
-        mat = gen_hybrid_normalized(args.m, args.n, seed, offset_max=args.offset_max)
+    try:
+        if args.family == "gaussian":
+            mat = gen_gaussian_normalized(args.m, args.n, seed)
+        else:
+            mat = gen_hybrid_normalized(args.m, args.n, seed, offset_max=args.offset_max)
+    except ValueError as exc:  # shape, seed or offset out of range
+        raise ConfigError(str(exc)) from exc
     save_matrix(mat, args.out)
     if args.csv:
         export_csv(mat, args.csv)
@@ -116,6 +119,8 @@ def _read_vector(path, m: int) -> np.ndarray:
             vals.append(float(tok))
         except ValueError:
             raise SparsenseError(f"{path}: token #{i} ({tok!r}) is not a number")
+        if not math.isfinite(vals[-1]):
+            raise SparsenseError(f"{path}: token #{i} ({tok!r}) is not finite")
     if len(vals) != m:
         raise SparsenseError(f"{path}: got {len(vals)} values, expected {m}")
     return np.array(vals)
@@ -282,7 +287,8 @@ def _cmd_invert_omega(args) -> int:
     except bounds.InfeasibleTarget as exc:
         _emit({"error": "InfeasibleTarget", "probability_ceiling": exc.ceiling, "p_min": args.pmin})
         return DOMAIN_EXIT
-    rho_limit = (ceiling_c - 1.0) * mu - math.sqrt(ceiling_c / args.m)
+    rho_limit = bounds.rho_tightness_limit(ceiling_c, args.m, mu)
+    omega_star = max(omega - args.rho, 0.0)  # as blind_params_for and recover use it
     if not 0.0 < args.rho < rho_limit:
         sys.stderr.write(
             f"warning: rho={args.rho} is outside the tightness interval "
@@ -292,8 +298,8 @@ def _cmd_invert_omega(args) -> int:
         {
             "mu": mu,
             "omega": omega,
-            "omega_star": omega - args.rho,
-            "stop_threshold": omega * mu,
+            "omega_star": omega_star,
+            "stop_threshold": omega_star * mu,
             "sparsity_ceiling": ceiling_c,
             "noise_factor": bounds.noise_concentration_factor(args.m, ceiling_c),
             "probability_ceiling": bounds.probability_ceiling(params),
@@ -504,7 +510,9 @@ def build_parser() -> _Parser:
                    help="override any config key (repeatable)")
     e.add_argument("--out", default="out")
     e.add_argument("--seed", type=int, default=None, help="override base_seed")
-    e.add_argument("--threads", type=int, default=os.cpu_count())
+    e.add_argument("--threads", type=int, default=1,
+                   help="worker threads over trials (default 1: on small matrices a pool "
+                        "is slower than serial, since the GIL is held between small BLAS calls)")
     e.set_defaults(fn=_cmd_experiment)
 
     pl = sub.add_parser("plot", help="re-plot a CSV as SVG (never re-runs trials)")
@@ -535,7 +543,7 @@ def main(argv=None) -> int:
     except SparsenseError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return DOMAIN_EXIT
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 

@@ -3,7 +3,10 @@
 A sweep fixes one measurement matrix, calibrates per-trial noise to each SNR
 grid point, runs every configured algorithm on identical (x, noise) pairs,
 and aggregates recovery probability, MSE and mean iteration counts per
-(grid point, algorithm). Trials are independent work items; aggregation is
+(grid point, algorithm). The unit of work is one trial at one SNR: its x and
+y are synthesized once, each greedy selection rule runs once on it, and
+every configured algorithm (at every omega, on omega sweeps) reads its
+result from that run. Trials are independent work items; aggregation is
 keyed by trial index so results are identical for any worker count.
 """
 
@@ -19,6 +22,7 @@ from .errors import ConfigError, InvalidParams, SparsenseError, ZeroSignal
 from .matgen import MeasurementMatrix, gen_gaussian_normalized, gen_hybrid_normalized
 from .recovery import (
     BlindStopParams,
+    GreedyPath,
     RecoveryResult,
     run_bols,
     run_bomp,
@@ -160,23 +164,81 @@ def min_component_snr(d, x, sigma: float) -> float:
     return min(component_snr(d, x, sigma, int(q)) for q in nz)
 
 
+_RULE_OF = {"bols": "ols", "ols": "ols", "bomp": "omp", "omp": "omp"}
+
+
 def _run_algorithm(
     alg: str, d: MeasurementMatrix, y: np.ndarray, config: ExperimentConfig,
-    blind: BlindStopParams | None,
+    blind: BlindStopParams | None, paths: dict[str, GreedyPath],
 ) -> RecoveryResult:
-    if alg == "ols":
-        return run_ols_known_k(d, y, config.k)
-    if alg == "omp":
-        return run_omp_known_k(d, y, config.k)
+    """One algorithm on y; the greedy ones cut the trial's path of their rule,
+    which ``paths`` holds once any algorithm has asked for it."""
     if alg == "cosamp":
         return run_cosamp(d, y, config.k, max_iterations=config.cosamp_max_iterations)
     if alg == "mols":
         return run_mols(d, y, config.k, config.mols_subset)
-    if alg in ("bols", "bomp"):
-        if blind is None:
-            raise InvalidParams(f"algorithm {alg} needs blind stopping parameters")
-        return run_bols(d, y, blind) if alg == "bols" else run_bomp(d, y, blind)
-    raise InvalidParams(f"unknown algorithm {alg!r}")
+    rule = _RULE_OF.get(alg)
+    if rule is None:
+        raise InvalidParams(f"unknown algorithm {alg!r}")
+    if rule not in paths:
+        paths[rule] = GreedyPath(d, y, rule)
+    if alg in ("ols", "omp"):
+        runner = run_ols_known_k if alg == "ols" else run_omp_known_k
+        return runner(d, y, config.k, path=paths[rule])
+    if blind is None:
+        raise InvalidParams(f"algorithm {alg} needs blind stopping parameters")
+    runner = run_bols if alg == "bols" else run_bomp
+    return runner(d, y, blind, path=paths[rule])
+
+
+def _trial_outcomes(
+    d: MeasurementMatrix,
+    config: ExperimentConfig,
+    trial_index: int,
+    snr_db: float,
+    runs: list[tuple[float, str, BlindStopParams | None]],
+) -> list[TrialOutcome]:
+    """Outcomes of one trial for each (grid value, algorithm, blind parameters).
+
+    Spectrum and noise streams are keyed by (base_seed, role, trial_index)
+    only, so x and y are synthesized once and every run sees the same draw;
+    runs sharing a selection rule read their results from one greedy path.
+    """
+    spec = gen_sparse_spectrum(
+        config.n, config.k, config.nonzero_mean, config.nonzero_var,
+        stream(config.base_seed, TAG_SPECTRUM, trial_index),
+    )
+    y, _sigma = calibrate_noise(
+        d, spec.x, snr_db, stream(config.base_seed, TAG_NOISE, trial_index)
+    )
+    xnorm = float(np.linalg.norm(spec.x))
+    paths: dict[str, GreedyPath] = {}
+    outcomes = []
+    for grid_value, alg, blind in runs:
+        try:
+            result = _run_algorithm(alg, d, y, config, blind, paths)
+            stop_reason = result.stop_reason.value
+            x_hat = result.x_hat
+            iterations = result.iterations
+        except SparsenseError as exc:
+            stop_reason = type(exc).__name__
+            x_hat = np.zeros(config.n)
+            iterations = 0
+        err = float(np.linalg.norm(x_hat - spec.x))
+        rel = err / xnorm if xnorm > 0 else (0.0 if err == 0 else math.inf)
+        outcomes.append(TrialOutcome(
+            algorithm=alg,
+            grid=grid_value,
+            snr_db=snr_db,
+            trial_index=trial_index,
+            success=rel <= config.success_tolerance,
+            exact_support=sorted(int(i) for i in np.nonzero(x_hat)[0]) == spec.support,
+            mse_contrib=err * err / config.n,
+            rel_error=rel,
+            iterations=iterations,
+            stop_reason=stop_reason,
+        ))
+    return outcomes
 
 
 def run_trial(
@@ -188,44 +250,10 @@ def run_trial(
     blind: BlindStopParams | None,
     grid_value: float | None = None,
 ) -> TrialOutcome:
-    """One (trial, algorithm) execution.
-
-    Spectrum and noise streams are keyed by (base_seed, role, trial_index)
-    only, so every algorithm at a grid point sees the same x and noise draw.
-    """
-    spec = gen_sparse_spectrum(
-        config.n, config.k, config.nonzero_mean, config.nonzero_var,
-        stream(config.base_seed, TAG_SPECTRUM, trial_index),
-    )
-    y, _sigma = calibrate_noise(
-        d, spec.x, snr_db, stream(config.base_seed, TAG_NOISE, trial_index)
-    )
-    try:
-        result = _run_algorithm(algorithm_id, d, y, config, blind)
-        stop_reason = result.stop_reason.value
-        x_hat = result.x_hat
-        iterations = result.iterations
-        support = result.support
-    except SparsenseError as exc:
-        stop_reason = type(exc).__name__
-        x_hat = np.zeros(config.n)
-        iterations = 0
-        support = []
-    err = float(np.linalg.norm(x_hat - spec.x))
-    xnorm = float(np.linalg.norm(spec.x))
-    rel = err / xnorm if xnorm > 0 else (0.0 if err == 0 else math.inf)
-    return TrialOutcome(
-        algorithm=algorithm_id,
-        grid=snr_db if grid_value is None else grid_value,
-        snr_db=snr_db,
-        trial_index=trial_index,
-        success=rel <= config.success_tolerance,
-        exact_support=sorted(int(i) for i in np.nonzero(x_hat)[0]) == spec.support,
-        mse_contrib=err * err / config.n,
-        rel_error=rel,
-        iterations=iterations,
-        stop_reason=stop_reason,
-    )
+    """One (trial, algorithm) execution; the sweeps run all algorithms of a
+    trial together and give the same outcomes."""
+    grid = snr_db if grid_value is None else grid_value
+    return _trial_outcomes(d, config, trial_index, snr_db, [(grid, algorithm_id, blind)])[0]
 
 
 def build_matrix(config: ExperimentConfig, salt: int = 0) -> MeasurementMatrix:
@@ -270,23 +298,25 @@ def blind_params_for(config: ExperimentConfig, mu: float) -> tuple[BlindStopPara
 def _collect(
     d: MeasurementMatrix,
     config: ExperimentConfig,
-    tasks: list[tuple[float, str, float, BlindStopParams | None]],
-    threads: int | None,
+    snr_db: float,
+    runs: list[tuple[float, str, BlindStopParams | None]],
+    threads: int,
 ) -> list[TrialOutcome]:
-    """Run (grid, algorithm) tasks, each covering all trials in index order."""
+    """Every trial's outcomes for the runs at one SNR, in trial-index order.
 
-    def one_task(task):
-        grid_value, alg, snr_db, blind = task
-        return [
-            run_trial(d, config, t, alg, snr_db, blind, grid_value=grid_value)
-            for t in range(config.trials)
-        ]
+    ``threads`` above 1 maps trials over a thread pool. On small matrices the
+    pool is slower than serial: the interpreter lock is held between the many
+    small BLAS calls of a trial.
+    """
 
-    if threads is not None and threads <= 1:
-        chunks = [one_task(t) for t in tasks]
+    def one_trial(t):
+        return _trial_outcomes(d, config, t, snr_db, runs)
+
+    if threads <= 1:
+        chunks = [one_trial(t) for t in range(config.trials)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_task, tasks))
+            chunks = list(pool.map(one_trial, range(config.trials)))
     return [o for chunk in chunks for o in chunk]
 
 
@@ -315,34 +345,29 @@ def aggregate(outcomes: list[TrialOutcome], trials: int) -> list[MetricsRow]:
 
 
 def sweep_snr(
-    config: ExperimentConfig, threads: int | None = None
+    config: ExperimentConfig, threads: int = 1
 ) -> tuple[list[MetricsRow], list[TrialOutcome], dict]:
     """SNR sweep: one MetricsRow per (snr grid point, algorithm)."""
     config.validate()
-    tasks = []
     meta: dict = {"sweep": "snr", "config": config_to_dict(config)}
     needs_blind = any(a in ("bols", "bomp") for a in config.algorithms)
-    if config.matrix_policy == "fixed":
-        d = build_matrix(config)
-        blind, blind_meta = blind_params_for(config, d.coherence) if needs_blind else (None, {})
-        meta.update(blind_meta)
-        for snr_db in config.snr_grid_db:
-            for alg in config.algorithms:
-                tasks.append((snr_db, alg, snr_db, blind))
-        outcomes = _collect(d, config, tasks, threads)
-    else:
-        outcomes = []
-        for gi, snr_db in enumerate(config.snr_grid_db):
-            d = build_matrix(config, salt=gi)
+    fixed = config.matrix_policy == "fixed"
+    outcomes = []
+    for gi, snr_db in enumerate(config.snr_grid_db):
+        if gi == 0 or not fixed:
+            d = build_matrix(config, salt=0 if fixed else gi)
             blind, blind_meta = blind_params_for(config, d.coherence) if needs_blind else (None, {})
-            meta.setdefault("per_point", []).append({"grid": snr_db, **blind_meta})
-            point_tasks = [(snr_db, alg, snr_db, blind) for alg in config.algorithms]
-            outcomes.extend(_collect(d, config, point_tasks, threads))
+            if fixed:
+                meta.update(blind_meta)
+            else:
+                meta.setdefault("per_point", []).append({"grid": snr_db, **blind_meta})
+        runs = [(snr_db, alg, blind) for alg in config.algorithms]
+        outcomes.extend(_collect(d, config, snr_db, runs, threads))
     return aggregate(outcomes, config.trials), outcomes, meta
 
 
 def sweep_omega(
-    config: ExperimentConfig, omega_grid, threads: int | None = None
+    config: ExperimentConfig, omega_grid, threads: int = 1
 ) -> tuple[list[MetricsRow], list[TrialOutcome], dict]:
     """Omega sweep at a fixed SNR: the blind threshold is omega * mu directly
     (no rho subtraction), so the grid axis is the raw threshold scale."""
@@ -358,14 +383,14 @@ def sweep_omega(
         "mu": mu,
         "config": config_to_dict(config),
     }
-    tasks = []
+    runs = []
     for omega in omega_grid:
         blind = BlindStopParams(
             omega_star=omega, mu=mu, max_iterations=config.max_blind_iterations
         )
         for alg in config.algorithms:
-            tasks.append((omega, alg, snr_db, blind if alg in ("bols", "bomp") else None))
-    outcomes = _collect(d, config, tasks, threads)
+            runs.append((omega, alg, blind if alg in ("bols", "bomp") else None))
+    outcomes = _collect(d, config, snr_db, runs, threads)
     return aggregate(outcomes, config.trials), outcomes, meta
 
 

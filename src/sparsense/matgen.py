@@ -15,7 +15,7 @@ from .streams import TAG_COLUMN, TAG_OFFSET, check_seed, stream
 
 MAGIC = b"SPRSMAT1"
 NORM_TOL = 1e-12
-_COH_BLOCK = 1024  # columns per Gram block, caps scratch memory at ~8 MB per 1k cols
+_COH_BLOCK = 256  # columns per Gram block: scratch is at most 256 x N doubles
 
 
 @dataclass
@@ -62,14 +62,15 @@ class MeasurementMatrix:
 
 
 def _coherence_of(entries: np.ndarray) -> float:
-    """Max absolute off-diagonal Gram entry, computed in column blocks."""
+    """Max absolute off-diagonal Gram entry over the upper triangle, in column
+    blocks: block [s, e) is multiplied only against columns [s, N)."""
     n = entries.shape[1]
     best = 0.0
     for start in range(0, n, _COH_BLOCK):
         end = min(start + _COH_BLOCK, n)
-        gram = entries[:, start:end].T @ entries
+        gram = entries[:, start:end].T @ entries[:, start:]
         idx = np.arange(end - start)
-        gram[idx, start + idx] = 0.0
+        gram[idx, idx] = 0.0
         best = max(best, float(np.abs(gram).max()))
     return min(best, 1.0)  # unit columns: rounding may not push past Cauchy-Schwarz
 

@@ -1,4 +1,4 @@
-"""Greedy sparse-recovery algorithms sharing one selection/stopping engine.
+"""Greedy sparse-recovery algorithms sharing one recorded selection path.
 
 Provided algorithms:
 
@@ -11,6 +11,10 @@ Provided algorithms:
 * ``run_cosamp`` - identify 2K, merge, least squares, prune to K.
 * ``run_mols``   - L atoms per iteration by the least-squares criterion,
   pruned to the K largest coefficients at the end.
+
+The four greedy runners are cuts of a ``GreedyPath``: the selection sequence
+depends only on (D, y, rule), and a stop rule only decides where to stop, so
+callers running several of them on one y can pass one shared path.
 
 OLS selection uses the normalized-correlation identity
 ``argmin_j ||P_perp(S+j) y||^2 == argmax_j |<d_j, r>| / ||P_perp(S) d_j||``
@@ -124,19 +128,26 @@ class _GreedyState:
         self.mask[j] = True
 
 
-def _select(state: _GreedyState, rule: str, corr: np.ndarray | None = None) -> int | None:
-    """Best unselected column, ties to the lowest index; None if none eligible."""
-    if corr is None:
-        corr = np.abs(state.e.T @ state.r)
+def _scores(state: _GreedyState, rule: str, corr: np.ndarray) -> np.ndarray | None:
+    """Selection score of every column, -1 where ineligible; None if none is eligible.
+
+    OLS scores ``|<d_j, r>| / ||P_perp d_j||``, matching pursuit ``|<d_j, r>|``.
+    """
     w = state.perp_norms()
     eligible = (~state.mask) & (w > SPAN_TOL)
     if not eligible.any():
         return None
     if rule == "ols":
-        score = np.where(eligible, corr / np.where(w > SPAN_TOL, w, 1.0), -1.0)
-    else:
-        score = np.where(eligible, corr, -1.0)
-    return int(np.argmax(score))
+        return np.where(eligible, corr / np.where(w > SPAN_TOL, w, 1.0), -1.0)
+    return np.where(eligible, corr, -1.0)
+
+
+def _select(state: _GreedyState, rule: str, corr: np.ndarray | None = None) -> int | None:
+    """Best unselected column, ties to the lowest index; None if none eligible."""
+    if corr is None:
+        corr = np.abs(state.e.T @ state.r)
+    score = _scores(state, rule, corr)
+    return None if score is None else int(np.argmax(score))
 
 
 def ols_select(d, y, support) -> int:
@@ -155,92 +166,145 @@ def ols_select(d, y, support) -> int:
     return pick
 
 
-def _finish(e, y, state: _GreedyState, history, reason: StopReason) -> RecoveryResult:
+_RULES = ("ols", "omp")
+
+
+class GreedyPath:
+    """One greedy selection run of y over the columns of d, grown on demand.
+
+    Step i is the state after i picks. For every step reached the path keeps
+    the residual norm ``residual_norms[i]`` and, once a cut or a pick has
+    needed it, the blind statistic ``statistics[i] = max_j |<d_j, r_i>| /
+    ||r_i||``; ``picks[i]`` is the column added at step i. The picks depend
+    only on (d, y, rule), so every stop rule is a cut of one path and the
+    algorithms sharing a selection rule can share the path of one y.
+    """
+
+    def __init__(self, d, y, rule: str):
+        if rule not in _RULES:
+            raise InvalidParams(f"unknown selection rule {rule!r}; known: {_RULES}")
+        e = _entries(d)
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (e.shape[0],):
+            raise InvalidParams(f"y has shape {y.shape}, expected ({e.shape[0]},)")
+        self.e, self.y, self.rule = e, y, rule
+        self._state = _GreedyState(e, y)
+        self._corr: np.ndarray | None = None  # |E^T r| at the last step, once computed
+        self.picks: list[int] = self._state.selected
+        ynorm = float(np.linalg.norm(y))
+        self.floor = RESIDUAL_FLOOR_REL * ynorm
+        self.residual_norms = [ynorm]
+        self.statistics: list[float] = []
+        self._exhausted = False  # no column can be added to the last step
+
+    def statistic(self, i: int) -> float:
+        """Blind statistic at step i, for i up to the number of picks."""
+        if i == len(self.statistics):
+            self._corr = np.abs(self.e.T @ self._state.r)
+            self.statistics.append(float(self._corr.max()) / self.residual_norms[i])
+        return self.statistics[i]
+
+    def grow(self, i: int) -> bool:
+        """Make sure pick i exists; False when no column can extend step i or
+        the path has reached the residual floor."""
+        while len(self.picks) <= i and not self._exhausted:
+            if self.residual_norms[-1] <= self.floor:
+                break
+            self.statistic(len(self.picks))
+            pick = _select(self._state, self.rule, self._corr)
+            if pick is None:
+                self._exhausted = True
+                break
+            try:
+                self._state.add(pick)
+            except RankDeficient:
+                self._exhausted = True
+                break
+            self.residual_norms.append(float(np.linalg.norm(self._state.r)))
+        return len(self.picks) > i
+
+
+def _stop_at(path: GreedyPath, i: int, threshold, known_k, cap) -> StopReason | None:
+    """The stop rule that fires at step i, None if none does. Rules are
+    checked in this order: residual floor, blind threshold, known K,
+    iteration cap, no further pick."""
+    if path.residual_norms[i] <= path.floor:
+        return StopReason.RESIDUAL_BELOW_FLOOR
+    if threshold is not None and path.statistic(i) <= threshold:
+        return StopReason.BLIND_THRESHOLD_MET
+    if known_k is not None and i >= known_k:
+        return StopReason.REACHED_KNOWN_K
+    if i >= cap:
+        return StopReason.REACHED_MAX_ITERATIONS
+    if not path.grow(i):
+        return StopReason.RANK_DEFICIENT
+    return None
+
+
+def _cut(
+    path: GreedyPath,
+    threshold: float | None = None,
+    known_k: int | None = None,
+    cap: int | None = None,
+) -> RecoveryResult:
+    """Result at the first step of the path where a stop rule fires."""
+    m = path.e.shape[0]
+    cap = m if cap is None else min(cap, m)
+    i = 0
+    while (reason := _stop_at(path, i, threshold, known_k, cap)) is None:
+        i += 1
+    support = path.picks[:i]
     try:
-        x_hat = least_squares_on_support(e, y, state.selected)
+        x_hat = least_squares_on_support(path.e, path.y, support)
     except RankDeficient:
-        x_hat = np.zeros(e.shape[1])
+        x_hat = np.zeros(path.e.shape[1])
         reason = StopReason.RANK_DEFICIENT
     return RecoveryResult(
         x_hat=x_hat,
-        support=list(state.selected),
-        iterations=len(state.selected),
-        residual_norm_history=history,
+        support=support,
+        iterations=i,
+        residual_norm_history=path.residual_norms[: i + 1],
         stop_reason=reason,
     )
 
 
-def _run_greedy(
-    d,
-    y,
-    rule: str,
-    known_k: int | None = None,
-    threshold: float | None = None,
-    max_iterations: int | None = None,
-) -> RecoveryResult:
-    e = _entries(d)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (e.shape[0],):
-        raise InvalidParams(f"y has shape {y.shape}, expected ({e.shape[0]},)")
-    state = _GreedyState(e, y)
-    ynorm = float(np.linalg.norm(y))
-    floor = RESIDUAL_FLOOR_REL * ynorm
-    history = [ynorm]
-    cap = e.shape[0] if max_iterations is None else min(max_iterations, e.shape[0])
-    while True:
-        rnorm = float(np.linalg.norm(state.r))
-        if rnorm <= floor:
-            return _finish(e, y, state, history, StopReason.RESIDUAL_BELOW_FLOOR)
-        corr = np.abs(e.T @ state.r)
-        if threshold is not None and float(corr.max()) / rnorm <= threshold:
-            return _finish(e, y, state, history, StopReason.BLIND_THRESHOLD_MET)
-        if known_k is not None and len(state.selected) >= known_k:
-            return _finish(e, y, state, history, StopReason.REACHED_KNOWN_K)
-        if len(state.selected) >= cap:
-            return _finish(e, y, state, history, StopReason.REACHED_MAX_ITERATIONS)
-        pick = _select(state, rule, corr)
-        if pick is None:
-            return _finish(e, y, state, history, StopReason.RANK_DEFICIENT)
-        try:
-            state.add(pick)
-        except RankDeficient:
-            return _finish(e, y, state, history, StopReason.RANK_DEFICIENT)
-        history.append(float(np.linalg.norm(state.r)))
+def _path_for(d, y, rule: str, path: GreedyPath | None) -> GreedyPath:
+    if path is None:
+        return GreedyPath(d, y, rule)
+    if path.rule != rule:
+        raise InvalidParams(f"needs a {rule} path, got a {path.rule} path")
+    return path
 
 
-def run_bols(d, y, params: BlindStopParams) -> RecoveryResult:
+def run_bols(d, y, params: BlindStopParams, path: GreedyPath | None = None) -> RecoveryResult:
     """Blind orthogonal least squares: OLS selection until the statistic drops
-    to ``omega_star * mu`` (or the residual floor / iteration cap is hit)."""
-    e = _entries(d)
-    return _run_greedy(
-        d, y, "ols",
-        threshold=params.omega_star * params.mu,
-        max_iterations=params.cap(e.shape[0]),
-    )
+    to ``omega_star * mu`` (or the residual floor / iteration cap is hit).
+
+    ``path``, if given, is an OLS path of this y over d to cut instead of a
+    fresh one; the same holds for the other greedy runners.
+    """
+    path = _path_for(d, y, "ols", path)
+    return _cut(path, params.omega_star * params.mu, cap=params.cap(path.e.shape[0]))
 
 
-def run_bomp(d, y, params: BlindStopParams) -> RecoveryResult:
+def run_bomp(d, y, params: BlindStopParams, path: GreedyPath | None = None) -> RecoveryResult:
     """Blind matching pursuit: correlation selection, same stopping rule as run_bols."""
-    e = _entries(d)
-    return _run_greedy(
-        d, y, "omp",
-        threshold=params.omega_star * params.mu,
-        max_iterations=params.cap(e.shape[0]),
-    )
+    path = _path_for(d, y, "omp", path)
+    return _cut(path, params.omega_star * params.mu, cap=params.cap(path.e.shape[0]))
 
 
-def run_ols_known_k(d, y, k: int) -> RecoveryResult:
+def run_ols_known_k(d, y, k: int, path: GreedyPath | None = None) -> RecoveryResult:
     """OLS that stops after exactly k iterations (earlier on the residual floor)."""
     if k < 0:
         raise InvalidParams(f"k must be >= 0, got {k}")
-    return _run_greedy(d, y, "ols", known_k=k)
+    return _cut(_path_for(d, y, "ols", path), known_k=k)
 
 
-def run_omp_known_k(d, y, k: int) -> RecoveryResult:
+def run_omp_known_k(d, y, k: int, path: GreedyPath | None = None) -> RecoveryResult:
     """Matching pursuit that stops after exactly k iterations."""
     if k < 0:
         raise InvalidParams(f"k must be >= 0, got {k}")
-    return _run_greedy(d, y, "omp", known_k=k)
+    return _cut(_path_for(d, y, "omp", path), known_k=k)
 
 
 def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
@@ -317,13 +381,10 @@ def run_mols(d, y, k: int, subset_size: int) -> RecoveryResult:
         if float(np.linalg.norm(state.r)) <= RESIDUAL_FLOOR_REL * ynorm:
             reason = StopReason.RESIDUAL_BELOW_FLOOR
             break
-        corr = np.abs(e.T @ state.r)
-        w = state.perp_norms()
-        eligible = (~state.mask) & (w > SPAN_TOL)
-        if not eligible.any():
+        score = _scores(state, "ols", np.abs(e.T @ state.r))
+        if score is None:
             reason = StopReason.RANK_DEFICIENT
             break
-        score = np.where(eligible, corr / np.where(w > SPAN_TOL, w, 1.0), -1.0)
         order = np.argsort(-score, kind="stable")[:subset_size]
         for j in order:
             if score[j] < 0:

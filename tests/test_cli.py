@@ -106,6 +106,34 @@ def test_recover_bad_y_file_is_domain_error(matrix_file, tmp_path):
     assert "token #2" in proc.stderr
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_recover_non_finite_y_is_domain_error(matrix_file, tmp_path, token):
+    path, _ = matrix_file
+    y_path = tmp_path / "nan.txt"
+    y_path.write_text(" ".join(["0.5"] * 10 + [token] + ["0.25"] * 53))
+    proc = run_cli("recover", "--matrix", str(path), "--alg", "ols", "--k", "1",
+                   "--y", str(y_path))
+    assert proc.returncode == 2
+    assert "token #10" in proc.stderr and "not finite" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("--m", "8", "--n", "4", "--seed", "1"),
+    ("--m", "4", "--n", "8", "--seed", "-1"),
+])
+def test_gen_matrix_bad_shape_or_seed_is_usage_error(tmp_path, args):
+    proc = run_cli("gen-matrix", "--family", "gaussian", *args, "--out", str(tmp_path / "d.bin"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
+
+def test_coherence_of_directory_is_usage_error(tmp_path):
+    proc = run_cli("coherence", "--matrix", str(tmp_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
+
 def test_recover_corrupt_matrix_names_offset(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"WRONG!!!" + b"\x00" * 24)
@@ -122,10 +150,27 @@ def test_invert_omega_reference_values():
     out = json.loads(proc.stdout)
     assert out["omega"] == pytest.approx(1.10994, abs=5e-4)
     assert out["omega_star"] == pytest.approx(out["omega"] - 0.175, abs=1e-12)
-    assert out["stop_threshold"] == pytest.approx(out["omega"] * 0.135, abs=1e-12)
+    assert out["stop_threshold"] == pytest.approx(out["omega_star"] * 0.135, abs=1e-12)
     assert out["sparsity_ceiling"] == pytest.approx(4.2037037, abs=1e-6)
     assert "sparsity_ceiling_note" in out
     assert proc.stderr == ""  # rho=0.175 is inside the tightness interval here
+
+
+@pytest.mark.parametrize("rho", ["0.175", "1.5"])
+def test_invert_omega_threshold_matches_blind_params(rho):
+    from sparsense.harness import ExperimentConfig, blind_params_for
+
+    proc = run_cli("invert-omega", "--m", "256", "--n", "512", "--mu", "0.2",
+                   "--rho", rho, "--pmin", "0.9")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    _, meta = blind_params_for(
+        ExperimentConfig(m=256, n=512, rho=float(rho), p_min=0.9), 0.2
+    )
+    assert out["omega_star"] == meta["omega_star"]
+    assert out["stop_threshold"] == meta["stop_threshold"]
+    if rho == "1.5":  # omega is below rho here, so omega_star clamps at 0
+        assert out["omega_star"] == 0.0 and out["omega"] < 1.5
 
 
 def test_invert_omega_warns_on_out_of_interval_rho():

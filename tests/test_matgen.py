@@ -3,6 +3,7 @@ import pytest
 
 from sparsense.errors import MatrixFormatError
 from sparsense.matgen import (
+    _COH_BLOCK,
     MeasurementMatrix,
     coherence,
     export_csv,
@@ -85,6 +86,21 @@ def test_coherence_blocking_consistent_on_wide_matrix():
     gram = mat.entries.T @ mat.entries
     np.fill_diagonal(gram, 0.0)
     assert mat.coherence == pytest.approx(float(np.abs(gram).max()), abs=1e-13)
+
+
+@pytest.mark.parametrize("m,n", [(16, _COH_BLOCK + 1), (8, 2 * _COH_BLOCK + 37), (24, 3 * _COH_BLOCK - 5)])
+def test_coherence_upper_triangle_equals_full_gram(m, n):
+    # N is not a multiple of the block size, and the most coherent pair sits
+    # in different blocks, so only its upper-triangle entry (i < j) is computed
+    e = gen_gaussian_normalized(m, n, seed=n).entries.copy()
+    i, j = 3, n - 2
+    e[:, j] = e[:, i] + 0.05 * e[:, j]
+    e[:, j] /= np.linalg.norm(e[:, j])
+    mat = MeasurementMatrix(e)
+    gram = np.abs(mat.entries.T @ mat.entries)
+    np.fill_diagonal(gram, 0.0)
+    assert np.unravel_index(np.argmax(gram), gram.shape) in ((i, j), (j, i))
+    assert mat.coherence == pytest.approx(float(gram.max()), abs=1e-13)
 
 
 def test_hybrid_offset_zero_matches_gaussian():
