@@ -18,8 +18,13 @@ callers running several of them on one y can pass one shared path.
 
 OLS selection uses the normalized-correlation identity
 ``argmin_j ||P_perp(S+j) y||^2 == argmax_j |<d_j, r>| / ||P_perp(S) d_j||``
-with an incrementally maintained orthonormal basis, which costs O(MN) per
-iteration instead of one least-squares solve per candidate.
+with an incrementally maintained orthonormal basis instead of one
+least-squares solve per candidate. Each step makes one O(MN) product
+``g = E^T q`` with the new basis vector q, and updates both the projected
+norms and the correlations ``c = E^T r`` from it: ``c -= g (q . r)``. The
+update loses relative accuracy as ||r|| shrinks, so c is recomputed exactly
+whenever ||r|| falls below ``CORR_REFRESH_REL`` times its value at the last
+exact product.
 """
 
 import math
@@ -35,6 +40,7 @@ from .matgen import MeasurementMatrix
 RESIDUAL_FLOOR_REL = 1e-12  # residual below this fraction of ||y|| stops every algorithm
 SPAN_TOL = 1e-12            # candidates with ||P_perp d_j|| below this are ineligible
 BLIND_CAP_FLOOR = 32        # default iteration cap never drops below this (see ledger)
+CORR_REFRESH_REL = 1e-4     # recompute E^T r once ||r|| < this * ||r|| at the last recompute
 
 
 class StopReason(str, Enum):
@@ -98,7 +104,8 @@ def blind_stop_statistic(d, r) -> float:
 
 
 class _GreedyState:
-    """Selected support plus an incrementally grown orthonormal basis of it."""
+    """Selected support, an incrementally grown orthonormal basis of it, the
+    residual r with its norm, and the correlations ``c = E^T r``."""
 
     def __init__(self, e: np.ndarray, y: np.ndarray):
         self.e = e
@@ -108,6 +115,12 @@ class _GreedyState:
         self.selected: list[int] = []
         self.mask = np.zeros(n, dtype=bool)
         self.r = y.astype(np.float64).copy()
+        self.rnorm = float(np.linalg.norm(self.r))
+        self._refresh()
+
+    def _refresh(self) -> None:
+        self.c = self.e.T @ self.r
+        self._exact_rnorm = self.rnorm
 
     def perp_norms(self) -> np.ndarray:
         return np.sqrt(np.clip(1.0 - self.proj_sq, 0.0, None))
@@ -122,17 +135,24 @@ class _GreedyState:
             raise RankDeficient(f"column {j} is numerically inside the selected span")
         q = v / nv
         self.basis = np.column_stack([self.basis, q])
-        self.proj_sq += (q @ self.e) ** 2
-        self.r -= q * (q @ self.r)
+        g = q @ self.e
+        self.proj_sq += g ** 2
+        qr = q @ self.r
+        self.r -= q * qr
+        self.c -= g * qr
+        self.rnorm = float(np.linalg.norm(self.r))
+        if self.rnorm < CORR_REFRESH_REL * self._exact_rnorm:
+            self._refresh()
         self.selected.append(j)
         self.mask[j] = True
 
 
-def _scores(state: _GreedyState, rule: str, corr: np.ndarray) -> np.ndarray | None:
+def _scores(state: _GreedyState, rule: str) -> np.ndarray | None:
     """Selection score of every column, -1 where ineligible; None if none is eligible.
 
     OLS scores ``|<d_j, r>| / ||P_perp d_j||``, matching pursuit ``|<d_j, r>|``.
     """
+    corr = np.abs(state.c)
     w = state.perp_norms()
     eligible = (~state.mask) & (w > SPAN_TOL)
     if not eligible.any():
@@ -142,11 +162,9 @@ def _scores(state: _GreedyState, rule: str, corr: np.ndarray) -> np.ndarray | No
     return np.where(eligible, corr, -1.0)
 
 
-def _select(state: _GreedyState, rule: str, corr: np.ndarray | None = None) -> int | None:
+def _select(state: _GreedyState, rule: str) -> int | None:
     """Best unselected column, ties to the lowest index; None if none eligible."""
-    if corr is None:
-        corr = np.abs(state.e.T @ state.r)
-    score = _scores(state, rule, corr)
+    score = _scores(state, rule)
     return None if score is None else int(np.argmax(score))
 
 
@@ -189,19 +207,17 @@ class GreedyPath:
             raise InvalidParams(f"y has shape {y.shape}, expected ({e.shape[0]},)")
         self.e, self.y, self.rule = e, y, rule
         self._state = _GreedyState(e, y)
-        self._corr: np.ndarray | None = None  # |E^T r| at the last step, once computed
         self.picks: list[int] = self._state.selected
-        ynorm = float(np.linalg.norm(y))
-        self.floor = RESIDUAL_FLOOR_REL * ynorm
-        self.residual_norms = [ynorm]
+        self.floor = RESIDUAL_FLOOR_REL * self._state.rnorm
+        self.residual_norms = [self._state.rnorm]
         self.statistics: list[float] = []
         self._exhausted = False  # no column can be added to the last step
 
     def statistic(self, i: int) -> float:
         """Blind statistic at step i, for i up to the number of picks."""
         if i == len(self.statistics):
-            self._corr = np.abs(self.e.T @ self._state.r)
-            self.statistics.append(float(self._corr.max()) / self.residual_norms[i])
+            corr_max = float(np.abs(self._state.c).max())
+            self.statistics.append(corr_max / self.residual_norms[i])
         return self.statistics[i]
 
     def grow(self, i: int) -> bool:
@@ -211,7 +227,7 @@ class GreedyPath:
             if self.residual_norms[-1] <= self.floor:
                 break
             self.statistic(len(self.picks))
-            pick = _select(self._state, self.rule, self._corr)
+            pick = _select(self._state, self.rule)
             if pick is None:
                 self._exhausted = True
                 break
@@ -220,7 +236,7 @@ class GreedyPath:
             except RankDeficient:
                 self._exhausted = True
                 break
-            self.residual_norms.append(float(np.linalg.norm(self._state.r)))
+            self.residual_norms.append(self._state.rnorm)
         return len(self.picks) > i
 
 
@@ -373,15 +389,15 @@ def run_mols(d, y, k: int, subset_size: int) -> RecoveryResult:
             f"subset_size {subset_size} with k {k} may select more than M={m} atoms"
         )
     state = _GreedyState(e, y)
-    ynorm = float(np.linalg.norm(y))
+    ynorm = state.rnorm
     history = [ynorm]
     reason = StopReason.REACHED_KNOWN_K
     rounds = 0
     while len(state.selected) < k:
-        if float(np.linalg.norm(state.r)) <= RESIDUAL_FLOOR_REL * ynorm:
+        if state.rnorm <= RESIDUAL_FLOOR_REL * ynorm:
             reason = StopReason.RESIDUAL_BELOW_FLOOR
             break
-        score = _scores(state, "ols", np.abs(e.T @ state.r))
+        score = _scores(state, "ols")
         if score is None:
             reason = StopReason.RANK_DEFICIENT
             break
@@ -394,7 +410,7 @@ def run_mols(d, y, k: int, subset_size: int) -> RecoveryResult:
             except RankDeficient:
                 continue
         rounds += 1
-        history.append(float(np.linalg.norm(state.r)))
+        history.append(state.rnorm)
     try:
         full = least_squares_on_support(e, y, state.selected)
     except RankDeficient:

@@ -81,6 +81,31 @@ def test_path_records_norms_statistics_and_picks():
         assert path.statistics[i] == pytest.approx(expect, rel=1e-9)
 
 
+@pytest.mark.parametrize("family", ["gaussian", "hybrid"])
+@pytest.mark.parametrize("snr_db", [20.0, 60.0, 120.0, float("inf")])
+def test_updated_correlations_track_the_exact_product(family, snr_db):
+    """The correlations kept up to date step by step stay within 1e-9 of a
+    fresh E^T r, far past K and down to the floor, where the update alone
+    cancels badly. The error is relative to max|E^T r|: correlations of
+    selected columns are zero up to rounding."""
+    k = 4
+    for seed in range(3):
+        d, y = instance(family, 32, 64, k, snr_db, seed=seed)
+        e = d.entries
+        for rule in ("ols", "omp"):
+            path = GreedyPath(d, y, rule)
+            for i in range(k + 21):
+                if path.residual_norms[i] <= path.floor:
+                    break
+                r = path._state.r
+                exact = e.T @ r
+                scale = np.abs(exact).max()
+                assert np.abs(np.abs(path._state.c) - np.abs(exact)).max() <= 1e-9 * scale
+                assert path.statistic(i) == pytest.approx(scale / np.linalg.norm(r), rel=1e-9)
+                if not path.grow(i):
+                    break
+
+
 def test_path_rule_mismatch_and_bad_input_raise():
     d, y = instance("gaussian", 16, 32, 2, 20.0, seed=2)
     with pytest.raises(InvalidParams):

@@ -29,14 +29,13 @@ def instance(family, m, n, k, snr_db, seed):
     return d, y
 
 
-
 @st.composite
 def instances(draw):
     family = draw(st.sampled_from(["gaussian", "hybrid"]))
     m = draw(st.integers(8, 24))
     n = draw(st.integers(m, 3 * m))
     k = draw(st.integers(1, max(1, m // 4)))
-    snr_db = draw(st.sampled_from([0.0, 10.0, 20.0, 40.0, float("inf")]))
+    snr_db = draw(st.sampled_from([0.0, 10.0, 20.0, 40.0, 120.0, float("inf")]))
     seed = draw(st.integers(0, 2**32))
     omegas = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=4)))
     return instance(family, m, n, k, snr_db, seed), k, omegas
@@ -69,3 +68,20 @@ def test_residual_histories_start_at_norm_y_and_never_rise(case):
         assert h[0] == float(np.linalg.norm(y))
         assert len(h) == res.iterations + 1
         assert all(b <= a + 1e-12 * h[0] for a, b in zip(h, h[1:]))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(instances())
+def test_recorded_statistics_equal_their_direct_recomputation(case):
+    (d, y), k, _ = case
+    e = d.entries
+    for rule in ("ols", "omp"):
+        path = GreedyPath(d, y, rule)
+        for i in range(e.shape[0] + 1):
+            if path.residual_norms[i] <= path.floor:
+                break
+            r = path._state.r
+            expect = np.abs(e.T @ r).max() / np.linalg.norm(r)
+            assert path.statistic(i) == pytest.approx(expect, rel=1e-9)
+            if not path.grow(i):
+                break
