@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bounds
 from .errors import ConfigError, InvalidParams, SparsenseError, ZeroSignal
+from .linalg import _entries
 from .matgen import MeasurementMatrix, gen_gaussian_normalized, gen_hybrid_normalized
 from .recovery import (
     BlindStopParams,
@@ -133,7 +134,7 @@ def calibrate_noise(d, x, snr_db: float, rng) -> tuple[np.ndarray, float]:
     """Measurement y = Dx + noise with the noise level set so the realized
     signal energy over M sigma^2 equals the requested SNR. ``snr_db=inf``
     returns the noiseless measurement."""
-    e = d.entries if isinstance(d, MeasurementMatrix) else np.asarray(d, dtype=np.float64)
+    e = _entries(d)
     x = np.asarray(x, dtype=np.float64)
     signal = e @ x
     if math.isinf(snr_db) and snr_db > 0:
@@ -149,7 +150,7 @@ def calibrate_noise(d, x, snr_db: float, rng) -> tuple[np.ndarray, float]:
 
 def component_snr(d, x, sigma: float, q: int) -> float:
     """Per-component SNR ||x_q d_q||^2 / (M sigma^2)."""
-    e = d.entries if isinstance(d, MeasurementMatrix) else np.asarray(d, dtype=np.float64)
+    e = _entries(d)
     if sigma == 0.0:
         return math.inf
     col = e[:, q]

@@ -34,8 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParams, RankDeficient, ZeroResidual
-from .linalg import check_support, least_squares_on_support
-from .matgen import MeasurementMatrix
+from .linalg import _entries, check_support, least_squares_on_support
 
 RESIDUAL_FLOOR_REL = 1e-12  # residual below this fraction of ||y|| stops every algorithm
 SPAN_TOL = 1e-12            # candidates with ||P_perp d_j|| below this are ineligible
@@ -48,6 +47,7 @@ class StopReason(str, Enum):
     REACHED_KNOWN_K = "ReachedKnownK"
     REACHED_MAX_ITERATIONS = "ReachedMaxIterations"
     RESIDUAL_BELOW_FLOOR = "ResidualBelowFloor"
+    STAGNATED = "Stagnated"
     RANK_DEFICIENT = "RankDeficient"
 
 
@@ -87,10 +87,6 @@ class BlindStopParams:
             return self.max_iterations
         ceil_c = math.ceil((1.0 + 1.0 / self.mu) / 2.0)
         return min(m, max(2 * ceil_c, BLIND_CAP_FLOOR))
-
-
-def _entries(d) -> np.ndarray:
-    return d.entries if isinstance(d, MeasurementMatrix) else np.asarray(d, dtype=np.float64)
 
 
 def blind_stop_statistic(d, r) -> float:
@@ -326,48 +322,63 @@ def run_omp_known_k(d, y, k: int, path: GreedyPath | None = None) -> RecoveryRes
 def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
     """Compressive sampling matching pursuit: identify 2k, merge, solve, prune to k.
 
-    Stops on residual stagnation (relative change below 1e-6, reported as
-    ResidualBelowFloor), the residual floor, or max_iterations. Rank failures
-    on the merged support end the run with the last good estimate.
+    Stops on the residual floor, on stagnation (relative change of consecutive
+    residual norms below 1e-6), or at max_iterations; a rank failure on the
+    merged support ends the run with the last good estimate. An iterate is a
+    function of its merged set alone, so the first repeated merged set makes
+    the run periodic. It stops computing there and returns what computing
+    every iteration would: the stagnation stop, or the iterate, history and
+    stop reason held at max_iterations.
     """
     e = _entries(d)
     y = np.asarray(y, dtype=np.float64)
     n = e.shape[1]
     if k < 0:
         raise InvalidParams(f"k must be >= 0, got {k}")
-    x = np.zeros(n)
     ynorm = float(np.linalg.norm(y))
     history = [ynorm]
     if k == 0:
-        return RecoveryResult(x, [], 0, history, StopReason.REACHED_KNOWN_K)
-    r = y.copy()
-    prev = ynorm
+        return RecoveryResult(np.zeros(n), [], 0, history, StopReason.REACHED_KNOWN_K)
+    r = y
+    iterates = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # iterate t as (support, values)
+    first_seen: dict[bytes, int] = {}  # merged set -> iteration whose iterate it produced
     reason = StopReason.REACHED_MAX_ITERATIONS
-    iters = 0
-    for _ in range(max_iterations):
-        proxy = e.T @ r
-        ident = np.argsort(np.abs(proxy))[-2 * k:]
-        merged = np.union1d(np.nonzero(x)[0], ident)
-        try:
-            fit = least_squares_on_support(e, y, merged.tolist())
-        except RankDeficient:
-            reason = StopReason.RANK_DEFICIENT
-            break
-        fit[np.argsort(np.abs(fit))[:-k]] = 0.0
-        x = fit
-        r = y - e @ x
-        rnorm = float(np.linalg.norm(r))
+    for t in range(1, max_iterations + 1):
+        ident = np.argsort(np.abs(e.T @ r))[-2 * k:]
+        merged = np.union1d(iterates[-1][0], ident)
+        s = first_seen.setdefault(merged.tobytes(), t)
+        if s < t:
+            iterates.append(iterates[s])
+            rnorm = history[s]
+        else:
+            try:
+                fit = least_squares_on_support(e, y, merged.tolist())
+            except RankDeficient:
+                reason = StopReason.RANK_DEFICIENT
+                break
+            fit[np.argsort(np.abs(fit))[:-k]] = 0.0
+            r = y - e @ fit
+            rnorm = float(np.linalg.norm(r))
+            support = np.nonzero(fit)[0]
+            iterates.append((support, fit[support]))
+        prev = history[-1]
         history.append(rnorm)
-        iters += 1
         if rnorm <= RESIDUAL_FLOOR_REL * ynorm:
             reason = StopReason.RESIDUAL_BELOW_FLOOR
             break
         if abs(prev - rnorm) < 1e-6 * max(prev, 1e-300):
-            reason = StopReason.RESIDUAL_BELOW_FLOOR
+            reason = StopReason.STAGNATED
             break
-        prev = rnorm
-    support = [int(i) for i in np.nonzero(x)[0]]
-    return RecoveryResult(x, support, iters, history, reason)
+        if s < t:
+            # every later residual pair repeats one checked in iterations s+1..t-1
+            period = t - s
+            history += [history[s + (i - s) % period] for i in range(t + 1, max_iterations + 1)]
+            iterates.append(iterates[s + (max_iterations - s) % period])
+            break
+    support, values = iterates[-1]
+    x = np.zeros(n)
+    x[support] = values
+    return RecoveryResult(x, support.tolist(), len(history) - 1, history, reason)
 
 
 def run_mols(d, y, k: int, subset_size: int) -> RecoveryResult:

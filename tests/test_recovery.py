@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from sparsense.errors import InvalidParams, ZeroResidual
+from sparsense import recovery
+from sparsense.errors import InvalidParams, RankDeficient, ZeroResidual
 from sparsense.harness import calibrate_noise, gen_sparse_spectrum
-from sparsense.linalg import projection_residual_norm_sq
+from sparsense.linalg import _entries, least_squares_on_support, projection_residual_norm_sq
 from sparsense.matgen import gen_gaussian_normalized, gen_hybrid_normalized
 from sparsense.recovery import (
+    RESIDUAL_FLOOR_REL,
     BlindStopParams,
+    RecoveryResult,
     StopReason,
     blind_stop_statistic,
     ols_select,
@@ -207,12 +210,100 @@ def test_cosamp_noiseless_exact():
     res = run_cosamp(d, y, 3)
     assert sorted(res.support) == spec.support
     assert np.linalg.norm(res.x_hat - spec.x) <= 1e-8
+    assert res.stop_reason is StopReason.RESIDUAL_BELOW_FLOOR
 
 
 def test_cosamp_zero_k():
     d, _, y = noiseless_instance(64, 128, 3, seed=18)
     res = run_cosamp(d, y, 0)
     assert not res.x_hat.any() and res.support == []
+
+
+def reference_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
+    """Definitional CoSaMP: every iteration up to the cap is computed; stops
+    on the residual floor, on consecutive-residual stagnation, or at the cap."""
+    e = _entries(d)
+    y = np.asarray(y, dtype=np.float64)
+    n = e.shape[1]
+    if k < 0:
+        raise InvalidParams(f"k must be >= 0, got {k}")
+    x = np.zeros(n)
+    ynorm = float(np.linalg.norm(y))
+    history = [ynorm]
+    if k == 0:
+        return RecoveryResult(x, [], 0, history, StopReason.REACHED_KNOWN_K)
+    r = y.copy()
+    prev = ynorm
+    reason = StopReason.REACHED_MAX_ITERATIONS
+    iters = 0
+    for _ in range(max_iterations):
+        proxy = e.T @ r
+        ident = np.argsort(np.abs(proxy))[-2 * k:]
+        merged = np.union1d(np.nonzero(x)[0], ident)
+        try:
+            fit = least_squares_on_support(e, y, merged.tolist())
+        except RankDeficient:
+            reason = StopReason.RANK_DEFICIENT
+            break
+        fit[np.argsort(np.abs(fit))[:-k]] = 0.0
+        x = fit
+        r = y - e @ x
+        rnorm = float(np.linalg.norm(r))
+        history.append(rnorm)
+        iters += 1
+        if rnorm <= RESIDUAL_FLOOR_REL * ynorm:
+            reason = StopReason.RESIDUAL_BELOW_FLOOR
+            break
+        if abs(prev - rnorm) < 1e-6 * max(prev, 1e-300):
+            reason = StopReason.STAGNATED
+            break
+        prev = rnorm
+    support = [int(i) for i in np.nonzero(x)[0]]
+    return RecoveryResult(x, support, iters, history, reason)
+
+
+def hybrid_instance(m, n, k, seed, snr_db):
+    d = gen_hybrid_normalized(m, n, seed=m + k)
+    spec = gen_sparse_spectrum(n, k, 1.0, 0.01, stream(seed, 2, 0))
+    y, _ = calibrate_noise(d, spec.x, snr_db, stream(seed, 3, int(snr_db)))
+    return d, y
+
+
+@pytest.mark.parametrize("m", [256, 128])
+@pytest.mark.parametrize("k", [8, 12])
+def test_cosamp_matches_the_definitional_loop(m, k):
+    reasons = set()
+    for seed in range(2):
+        for snr_db in (30.0, 40.0, 50.0, 60.0):
+            d, y = hybrid_instance(m, 512, k, seed, snr_db)
+            for cap in (50, 7, 1):
+                want = reference_cosamp(d, y, k, cap)
+                got = run_cosamp(d, y, k, cap)
+                where = f"M={m} K={k} seed={seed} {snr_db} dB cap={cap}"
+                assert got.x_hat.tobytes() == want.x_hat.tobytes(), where
+                assert got.support == want.support, where
+                assert got.iterations == want.iterations, where
+                assert got.residual_norm_history == want.residual_norm_history, where
+                assert got.stop_reason is want.stop_reason, where
+                if cap == 50:
+                    reasons.add(got.stop_reason)
+    # both exits of a repeated merged set are exercised
+    assert {StopReason.STAGNATED, StopReason.REACHED_MAX_ITERATIONS} <= reasons
+
+
+def test_cosamp_capped_run_stops_solving_at_the_first_repeat(monkeypatch):
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return least_squares_on_support(*args)
+
+    monkeypatch.setattr(recovery, "least_squares_on_support", counted)
+    d, y = hybrid_instance(128, 512, 12, 1, 50.0)
+    res = run_cosamp(d, y, 12, 50)
+    assert res.stop_reason is StopReason.REACHED_MAX_ITERATIONS and res.iterations == 50
+    assert len(res.residual_norm_history) == 51
+    assert len(solves) < 50
 
 
 def test_mols_subset_one_reproduces_ols():
