@@ -19,7 +19,12 @@ import numpy as np
 from . import bounds
 from .errors import ConfigError, SparsenseError
 from .harness import (
+    ALGORITHMS,
+    BLIND,
+    ExperimentConfig,
+    _run_algorithm,
     apply_overrides,
+    blind_params_for,
     calibrate_noise,
     gen_sparse_spectrum,
     load_config,
@@ -36,15 +41,7 @@ from .matgen import (
     save_matrix,
 )
 from .presets import FIGURES, SCALES, BoundSweep, figure_preset
-from .recovery import (
-    BlindStopParams,
-    run_bols,
-    run_bomp,
-    run_cosamp,
-    run_mols,
-    run_ols_known_k,
-    run_omp_known_k,
-)
+from .recovery import BlindStopParams
 from .streams import TAG_NOISE, TAG_SPECTRUM, stream
 from .svgplot import line_plot
 
@@ -141,42 +138,25 @@ def _cmd_recover(args) -> int:
         y, _ = calibrate_noise(mat, spec.x, args.snr, stream(seed, TAG_NOISE, 0))
         truth = {"true_support": spec.support}
 
-    extra = {}
-    if args.alg in ("bols", "bomp"):
-        if args.omega_star is not None:
-            params = BlindStopParams(
-                omega_star=args.omega_star, mu=mat.coherence,
-                max_iterations=args.max_iterations,
-            )
-            extra = {"omega_star": args.omega_star, "mu": mat.coherence}
-        else:
-            bp = bounds.BoundParams(m=mat.m, n=mat.n, mu=mat.coherence, rho=args.rho)
-            omega = bounds.omega_for_probability(args.pmin, bp)
-            params = BlindStopParams(
-                omega_star=max(omega - args.rho, 0.0), mu=mat.coherence,
-                max_iterations=args.max_iterations,
-            )
-            extra = {
-                "omega": omega,
-                "omega_star": params.omega_star,
-                "mu": mat.coherence,
-                "p_min": args.pmin,
-                "rho": args.rho,
-            }
-        result = run_bols(mat, y, params) if args.alg == "bols" else run_bomp(mat, y, params)
-    elif args.alg in ("ols", "omp", "cosamp", "mols"):
+    config = ExperimentConfig(
+        m=mat.m, n=mat.n, k=0 if args.k is None else args.k, algorithms=(args.alg,),
+        p_min=args.pmin, rho=args.rho, mols_subset=args.mols_subset,
+        max_blind_iterations=args.max_iterations,
+    )
+    blind, extra = None, {}
+    if args.alg not in BLIND:
         if args.k is None:
             raise ConfigError(f"--alg {args.alg} requires --k")
-        if args.alg == "ols":
-            result = run_ols_known_k(mat, y, args.k)
-        elif args.alg == "omp":
-            result = run_omp_known_k(mat, y, args.k)
-        elif args.alg == "cosamp":
-            result = run_cosamp(mat, y, args.k)
-        else:
-            result = run_mols(mat, y, args.k, args.mols_subset)
+    elif args.omega_star is not None:
+        blind = BlindStopParams(
+            omega_star=args.omega_star, mu=mat.coherence, max_iterations=args.max_iterations
+        )
+        extra = {"omega_star": args.omega_star, "mu": mat.coherence}
     else:
-        raise ConfigError(f"unknown algorithm {args.alg!r}")
+        blind, meta = blind_params_for(config, mat.coherence)
+        extra = {key: meta[key] for key in ("omega", "omega_star", "mu")}
+        extra.update(p_min=args.pmin, rho=args.rho)
+    result = _run_algorithm(args.alg, mat, y, config, blind, {})
 
     payload = {
         "algorithm": args.alg,
@@ -315,7 +295,7 @@ def _cmd_invert_omega(args) -> int:
 
 # ---------------------------------------------------------------------- experiment
 
-def _write_outputs(out_dir: Path, label: str, rows, outcomes, meta, config, metric):
+def _write_outputs(out_dir: Path, label: str, rows, outcomes, meta, config):
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_text = rows_to_csv(rows)
     (out_dir / f"{label}.csv").write_text(csv_text)
@@ -383,19 +363,19 @@ def _cmd_experiment(args) -> int:
     if args.figure == "custom":
         if not args.config or not args.section:
             raise ConfigError("--figure custom requires --config and --section")
-        sweeps = [(args.section, load_config(args.config, args.section), "prob")]
+        sweeps = [(args.section, load_config(args.config, args.section))]
     else:
         sweeps = []
-        for label, config, metric in preset:
+        for label, config in preset:
             if args.config:
                 try:
                     config = load_config(args.config, label)
                 except ConfigError as exc:
                     if "not found" not in str(exc):
                         raise
-            sweeps.append((label, config, metric))
+            sweeps.append((label, config))
 
-    for label, config, metric in sweeps:
+    for label, config in sweeps:
         if args.set:
             config = apply_overrides(config, args.set)
         if args.seed is not None:
@@ -405,7 +385,7 @@ def _cmd_experiment(args) -> int:
             rows, outcomes, meta = sweep_omega(config, config.omega_grid, threads=args.threads)
         else:
             rows, outcomes, meta = sweep_snr(config, threads=args.threads)
-        _write_outputs(out_dir, label, rows, outcomes, meta, config, metric)
+        _write_outputs(out_dir, label, rows, outcomes, meta, config)
     return 0
 
 
@@ -462,8 +442,7 @@ def build_parser() -> _Parser:
 
     r = sub.add_parser("recover", help="run one recovery")
     r.add_argument("--matrix", required=True)
-    r.add_argument("--alg", required=True,
-                   choices=("bols", "bomp", "ols", "omp", "cosamp", "mols"))
+    r.add_argument("--alg", required=True, choices=ALGORITHMS)
     r.add_argument("--y", default=None, help="text file of M measurement values")
     r.add_argument("--k", type=int, default=None, help="sparsity for known-K algorithms")
     r.add_argument("--k-true", type=int, default=None, help="sparsity of a synthesized instance")

@@ -36,7 +36,21 @@ from .streams import TAG_NOISE, TAG_SPECTRUM, derive_seed, stream
 
 CSV_HEADER = "grid,algorithm,prob_recovery,mse,mean_iterations,trials"
 
-ALGORITHMS = ("bols", "bomp", "ols", "omp", "cosamp", "mols")
+# Every algorithm the sweeps and ``recover`` run: name -> (rule of the greedy
+# path it cuts, or None; runner(d, y, config, blind, path)). Runners look the
+# recovery functions up in this module at call time, so patching them here
+# reaches every call.
+REGISTRY = {
+    "omp": ("omp", lambda d, y, c, blind, path: run_omp_known_k(d, y, c.k, path=path)),
+    "bomp": ("omp", lambda d, y, c, blind, path: run_bomp(d, y, blind, path=path)),
+    "ols": ("ols", lambda d, y, c, blind, path: run_ols_known_k(d, y, c.k, path=path)),
+    "bols": ("ols", lambda d, y, c, blind, path: run_bols(d, y, blind, path=path)),
+    "cosamp": (None, lambda d, y, c, blind, path: run_cosamp(
+        d, y, c.k, max_iterations=c.cosamp_max_iterations)),
+    "mols": (None, lambda d, y, c, blind, path: run_mols(d, y, c.k, c.mols_subset)),
+}
+ALGORITHMS = tuple(REGISTRY)
+BLIND = ("bomp", "bols")  # stop on the blind statistic, so they need BlindStopParams
 FAMILIES = ("gaussian", "hybrid")
 
 
@@ -165,31 +179,20 @@ def min_component_snr(d, x, sigma: float) -> float:
     return min(component_snr(d, x, sigma, int(q)) for q in nz)
 
 
-_RULE_OF = {"bols": "ols", "ols": "ols", "bomp": "omp", "omp": "omp"}
-
-
 def _run_algorithm(
     alg: str, d: MeasurementMatrix, y: np.ndarray, config: ExperimentConfig,
     blind: BlindStopParams | None, paths: dict[str, GreedyPath],
 ) -> RecoveryResult:
     """One algorithm on y; the greedy ones cut the trial's path of their rule,
     which ``paths`` holds once any algorithm has asked for it."""
-    if alg == "cosamp":
-        return run_cosamp(d, y, config.k, max_iterations=config.cosamp_max_iterations)
-    if alg == "mols":
-        return run_mols(d, y, config.k, config.mols_subset)
-    rule = _RULE_OF.get(alg)
-    if rule is None:
-        raise InvalidParams(f"unknown algorithm {alg!r}")
-    if rule not in paths:
-        paths[rule] = GreedyPath(d, y, rule)
-    if alg in ("ols", "omp"):
-        runner = run_ols_known_k if alg == "ols" else run_omp_known_k
-        return runner(d, y, config.k, path=paths[rule])
-    if blind is None:
+    if alg in BLIND and blind is None:
         raise InvalidParams(f"algorithm {alg} needs blind stopping parameters")
-    runner = run_bols if alg == "bols" else run_bomp
-    return runner(d, y, blind, path=paths[rule])
+    if alg not in REGISTRY:
+        raise InvalidParams(f"unknown algorithm {alg!r}")
+    rule, runner = REGISTRY[alg]
+    if rule is not None and rule not in paths:
+        paths[rule] = GreedyPath(d, y, rule)
+    return runner(d, y, config, blind, paths.get(rule))
 
 
 def _trial_outcomes(
@@ -351,7 +354,7 @@ def sweep_snr(
     """SNR sweep: one MetricsRow per (snr grid point, algorithm)."""
     config.validate()
     meta: dict = {"sweep": "snr", "config": config_to_dict(config)}
-    needs_blind = any(a in ("bols", "bomp") for a in config.algorithms)
+    needs_blind = any(a in BLIND for a in config.algorithms)
     fixed = config.matrix_policy == "fixed"
     outcomes = []
     for gi, snr_db in enumerate(config.snr_grid_db):
@@ -390,7 +393,7 @@ def sweep_omega(
             omega_star=omega, mu=mu, max_iterations=config.max_blind_iterations
         )
         for alg in config.algorithms:
-            runs.append((omega, alg, blind if alg in ("bols", "bomp") else None))
+            runs.append((omega, alg, blind if alg in BLIND else None))
     outcomes = _collect(d, config, snr_db, runs, threads)
     return aggregate(outcomes, config.trials), outcomes, meta
 

@@ -1,19 +1,18 @@
 """Built-in figure presets at paper scale and desk scale.
 
-``desk`` presets finish on a laptop in minutes; ``paper`` presets use the
-full matrix sizes and 1000 trials and can run for hours. Every preset is a
-plain ExperimentConfig (or a bound-sweep description for the closed-form
-figures), so any key can be overridden from a config file or the CLI.
+``desk`` presets finish in under a minute each; ``paper`` presets use the
+full matrix sizes and 1000 trials and take a few minutes each (README gives
+the measured times). Every preset is a plain ExperimentConfig (or a
+bound-sweep description for the closed-form figures), so any key can be
+overridden from a config file or the CLI.
 """
 
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .harness import ExperimentConfig
+from .harness import ALGORITHMS, ExperimentConfig
 
 SCALES = ("desk", "paper")
-
-ALL_ALGS = ("omp", "bomp", "ols", "bols", "cosamp", "mols")
 
 # Hybrid-matrix reconstruction needs ~40 dB before even oracle least squares
 # on the true support meets a 5 percent error tolerance, so those grids run
@@ -73,7 +72,7 @@ def _fig5(scale: str, k: int) -> ExperimentConfig:
     trials = 1000 if scale == "paper" else 300
     return ExperimentConfig(
         family="hybrid", m=256, n=512, k=k, snr_grid_db=HYBRID_GRID,
-        algorithms=ALL_ALGS, trials=trials, base_seed=510 + k,
+        algorithms=ALGORITHMS, trials=trials, base_seed=510 + k,
     )
 
 
@@ -83,13 +82,14 @@ def _fig7(scale: str, n: int) -> ExperimentConfig:
     trials = 1000 if scale == "paper" else 300
     return ExperimentConfig(
         family="hybrid", m=128, n=n, k=8, snr_grid_db=HYBRID_GRID,
-        algorithms=ALL_ALGS, trials=trials, base_seed=710 + n, p_min=0.68,
+        algorithms=ALGORITHMS, trials=trials, base_seed=710 + n, p_min=0.68,
     )
 
 
 def figure_preset(figure: str, scale: str):
-    """Preset for a named figure: either a list of (label, ExperimentConfig,
-    plot_metric) sweeps or a BoundSweep for the closed-form figures."""
+    """Preset for a named figure: either a list of (label, ExperimentConfig)
+    sweeps or a BoundSweep for the closed-form figures. Figure 6 (MSE) has no
+    preset of its own: fig5 writes it as ``<label>_mse.svg``."""
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}; use one of {SCALES}")
     if figure == "fig2a":
@@ -97,16 +97,14 @@ def figure_preset(figure: str, scale: str):
     if figure == "fig2b":
         return BoundSweep(kind="snr_pmin", m=1024, n=8192, mus=REFERENCE_MUS, slack=0.15, k=4)
     if figure == "fig3":
-        return [("fig3", _fig3(scale), "prob")]
+        return [("fig3", _fig3(scale))]
     if figure == "fig4":
-        return [("fig4", _fig4(scale), "prob")]
+        return [("fig4", _fig4(scale))]
     if figure == "fig5":
-        return [("fig5_k8", _fig5(scale, 8), "prob"), ("fig5_k12", _fig5(scale, 12), "prob")]
-    if figure == "fig6":
-        return [("fig6_k8", _fig5(scale, 8), "mse"), ("fig6_k12", _fig5(scale, 12), "mse")]
+        return [("fig5_k8", _fig5(scale, 8)), ("fig5_k12", _fig5(scale, 12))]
     if figure == "fig7":
-        return [("fig7_a", _fig7(scale, 512), "prob"), ("fig7_b", _fig7(scale, 256), "prob")]
+        return [("fig7_a", _fig7(scale, 512)), ("fig7_b", _fig7(scale, 256))]
     raise ConfigError(f"unknown figure {figure!r}")
 
 
-FIGURES = ("fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6", "fig7")
+FIGURES = ("fig2a", "fig2b", "fig3", "fig4", "fig5", "fig7")

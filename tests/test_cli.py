@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -94,6 +95,55 @@ def test_recover_reads_y_file(matrix_file, tmp_path):
     out = json.loads(proc.stdout)
     assert out["support"] == [10]
     assert out["nonzeros"]["10"] == pytest.approx(2.5, abs=1e-10)
+
+
+def test_recover_matches_direct_runner_calls_for_every_algorithm(matrix_file, tmp_path):
+    from sparsense.harness import ExperimentConfig, blind_params_for
+    from sparsense.matgen import load_matrix
+    from sparsense.recovery import (
+        run_bols, run_bomp, run_cosamp, run_mols, run_ols_known_k, run_omp_known_k,
+    )
+
+    path, _ = matrix_file
+    mat = load_matrix(path)
+    rng = np.random.default_rng(12)
+    y = mat.entries[:, [10, 40, 77]] @ np.array([1.0, 0.8, 1.2])
+    y += 0.01 * rng.standard_normal(mat.m)
+    y_path = tmp_path / "y.txt"
+    y_path.write_text("\n".join(f"{v:.17g}" for v in y))
+    y = np.array([float(v) for v in y_path.read_text().split()])
+    blind, meta = blind_params_for(
+        ExperimentConfig(m=mat.m, n=mat.n, p_min=0.15, rho=0.175), mat.coherence
+    )
+    direct = {
+        "omp": run_omp_known_k(mat, y, 3),
+        "bomp": run_bomp(mat, y, blind),
+        "ols": run_ols_known_k(mat, y, 3),
+        "bols": run_bols(mat, y, blind),
+        "cosamp": run_cosamp(mat, y, 3),
+        "mols": run_mols(mat, y, 3, 2),
+    }
+    for alg, expect in direct.items():
+        proc = run_cli("recover", "--matrix", str(path), "--alg", alg, "--k", "3",
+                       "--pmin", "0.15", "--rho", "0.175", "--y", str(y_path))
+        assert proc.returncode == 0, (alg, proc.stderr)
+        out = json.loads(proc.stdout)
+        assert out["support"] == expect.support, alg
+        assert out["iterations"] == expect.iterations, alg
+        assert out["stop_reason"] == expect.stop_reason.value, alg
+        assert out["nonzeros"] == {str(i): expect.x_hat[i] for i in expect.support}, alg
+        if alg in ("bols", "bomp"):
+            assert out["omega_star"] == meta["omega_star"]
+
+
+@pytest.mark.parametrize("alg", ["ols", "omp", "cosamp", "mols"])
+def test_recover_known_k_algorithm_without_k_is_usage_error(matrix_file, alg):
+    path, _ = matrix_file
+    proc = run_cli("recover", "--matrix", str(path), "--alg", alg,
+                   "--k-true", "3", "--snr", "20", "--seed", "6")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "requires --k" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_recover_bad_y_file_is_domain_error(matrix_file, tmp_path):
@@ -254,6 +304,7 @@ def test_experiment_custom_runs_and_replots(tmp_path):
     assert (out / "tiny.jsonl").exists()
     assert (out / "tiny_summary.json").exists()
     assert (out / "tiny_prob.svg").read_text().startswith("<svg")
+    assert (out / "tiny_mse.svg").read_text().startswith("<svg")  # figure 6's only source
 
     # identical invocation with a different thread count: identical bytes
     out2 = tmp_path / "out2"
@@ -270,6 +321,13 @@ def test_experiment_custom_runs_and_replots(tmp_path):
                     "--out", str(svg))
     assert proc3.returncode == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_experiment_fig6_is_not_a_preset(tmp_path):
+    # fig5 writes figure 6 as <label>_mse.svg, so no preset re-runs its sweeps
+    proc = run_cli("experiment", "--figure", "fig6", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_experiment_zero_trials_is_usage_error(tmp_path):
