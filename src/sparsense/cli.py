@@ -25,6 +25,7 @@ from .harness import (
     _run_algorithm,
     apply_overrides,
     blind_params_for,
+    build_matrix,
     calibrate_noise,
     gen_sparse_spectrum,
     load_config,
@@ -33,16 +34,10 @@ from .harness import (
     sweep_omega,
     sweep_snr,
 )
-from .matgen import (
-    export_csv,
-    gen_gaussian_normalized,
-    gen_hybrid_normalized,
-    load_matrix,
-    save_matrix,
-)
+from .matgen import export_csv, load_matrix, save_matrix
 from .presets import FIGURES, SCALES, BoundSweep, figure_preset
 from .recovery import BlindStopParams
-from .streams import TAG_NOISE, TAG_SPECTRUM, stream
+from .streams import TAG_NOISE, TAG_SPECTRUM, check_seed, stream
 from .svgplot import line_plot
 
 USAGE_EXIT = 1
@@ -58,12 +53,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SPARSENSE_SEED", "0")
+def _seed(flag: int | None) -> int:
+    """--seed, else SPARSENSE_SEED, else 0; a usage error if not an unsigned 64-bit integer."""
+    if flag is None:
+        raw = os.environ.get("SPARSENSE_SEED", "0")
+        try:
+            flag = int(raw)
+        except ValueError:
+            raise ConfigError(f"SPARSENSE_SEED must be an integer, got {raw!r}")
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"SPARSENSE_SEED must be an integer, got {raw!r}")
+        return check_seed(flag)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _emit(obj, out_path=None):
@@ -76,14 +77,10 @@ def _emit(obj, out_path=None):
 # ---------------------------------------------------------------------- gen-matrix
 
 def _cmd_gen_matrix(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        if args.family == "gaussian":
-            mat = gen_gaussian_normalized(args.m, args.n, seed)
-        else:
-            mat = gen_hybrid_normalized(args.m, args.n, seed, offset_max=args.offset_max)
-    except ValueError as exc:  # shape, seed or offset out of range
-        raise ConfigError(str(exc)) from exc
+    seed = _seed(args.seed)
+    mat = build_matrix(ExperimentConfig(
+        family=args.family, m=args.m, n=args.n, offset_max=args.offset_max, base_seed=seed,
+    ))
     save_matrix(mat, args.out)
     if args.csv:
         export_csv(mat, args.csv)
@@ -125,7 +122,7 @@ def _read_vector(path, m: int) -> np.ndarray:
 
 def _cmd_recover(args) -> int:
     mat = load_matrix(args.matrix)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     truth = None
     if args.y:
         y = _read_vector(args.y, mat.m)
@@ -210,8 +207,11 @@ def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must look like start:step:stop, got {spec!r}")
-    start, step, stop = (float(p) for p in parts)
-    if step <= 0 or stop < start:
+    try:
+        start, step, stop = (float(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"grid {spec!r}: start, step and stop must be numbers") from None
+    if not all(math.isfinite(v) for v in (start, step, stop)) or step <= 0 or stop < start:
         raise ConfigError(f"bad grid {spec!r}")
     out = []
     v = start
@@ -379,7 +379,7 @@ def _cmd_experiment(args) -> int:
         if args.set:
             config = apply_overrides(config, args.set)
         if args.seed is not None:
-            config = apply_overrides(config, [f"base_seed={args.seed}"])
+            config = apply_overrides(config, [f"base_seed={_seed(args.seed)}"])
         config.validate()
         if config.omega_grid:
             rows, outcomes, meta = sweep_omega(config, config.omega_grid, threads=args.threads)
@@ -390,6 +390,13 @@ def _cmd_experiment(args) -> int:
 
 
 # ---------------------------------------------------------------------------- plot
+
+def _csv_number(path, lineno: int, column: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise SparsenseError(f"{path}: line {lineno}, column {column!r}: {cell!r} is not a number")
+
 
 def _cmd_plot(args) -> int:
     lines = Path(args.csv).read_text().strip().splitlines()
@@ -402,12 +409,16 @@ def _cmd_plot(args) -> int:
     xi, yi = header.index(args.x), header.index(args.y)
     si = header.index(args.series) if args.series else None
     series: dict[str, list[tuple[float, float]]] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) <= max(xi, yi, si or 0):
+            missing = header[len(cells)]
+            raise SparsenseError(f"{args.csv}: line {lineno}, column {missing!r}: no cell")
         if not cells[xi] or not cells[yi]:
             continue
         key = cells[si] if si is not None else args.y
-        series.setdefault(key, []).append((float(cells[xi]), float(cells[yi])))
+        x, y = (_csv_number(args.csv, lineno, header[i], cells[i]) for i in (xi, yi))
+        series.setdefault(key, []).append((x, y))
     svg = line_plot(
         series,
         title=args.title or Path(args.csv).stem,

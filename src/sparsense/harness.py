@@ -32,7 +32,7 @@ from .recovery import (
     run_ols_known_k,
     run_omp_known_k,
 )
-from .streams import TAG_NOISE, TAG_SPECTRUM, derive_seed, stream
+from .streams import TAG_NOISE, TAG_SPECTRUM, stream
 
 CSV_HEADER = "grid,algorithm,prob_recovery,mse,mean_iterations,trials"
 
@@ -76,14 +76,12 @@ class ExperimentConfig:
     base_seed: int = 1
     p_min: float = 0.95
     rho: float = 0.175
-    vartheta: float = 0.15
     success_tolerance: float = 0.05
     nonzero_mean: float = 1.0
     nonzero_var: float = 0.01
     mols_subset: int = 2
     cosamp_max_iterations: int = 50
     max_blind_iterations: int | None = None
-    matrix_policy: str = "fixed"
     omega_grid: tuple[float, ...] | None = None
 
     def validate(self) -> "ExperimentConfig":
@@ -100,8 +98,11 @@ class ExperimentConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}; known: {ALGORITHMS}")
-        if self.matrix_policy not in ("fixed", "per_point"):
-            raise ConfigError(f"matrix_policy must be fixed or per_point, got {self.matrix_policy}")
+        if "mols" in self.algorithms and (
+            self.mols_subset < 1 or self.mols_subset * math.ceil(self.k / self.mols_subset) > self.m
+        ):
+            raise ConfigError(f"mols_subset {self.mols_subset} must be >= 1 and select at most "
+                              f"m={self.m} atoms for k={self.k}")
         return self
 
 
@@ -260,11 +261,16 @@ def run_trial(
     return _trial_outcomes(d, config, trial_index, snr_db, [(grid, algorithm_id, blind)])[0]
 
 
-def build_matrix(config: ExperimentConfig, salt: int = 0) -> MeasurementMatrix:
-    seed = config.base_seed if salt == 0 else derive_seed(config.base_seed, salt)
-    if config.family == "gaussian":
-        return gen_gaussian_normalized(config.m, config.n, seed)
-    return gen_hybrid_normalized(config.m, config.n, seed, offset_max=config.offset_max)
+def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
+    """The sweep's matrix; a shape, seed or offset out of range is a ConfigError."""
+    try:
+        if config.family == "gaussian":
+            return gen_gaussian_normalized(config.m, config.n, config.base_seed)
+        return gen_hybrid_normalized(
+            config.m, config.n, config.base_seed, offset_max=config.offset_max
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def blind_params_for(config: ExperimentConfig, mu: float) -> tuple[BlindStopParams, dict]:
@@ -354,17 +360,13 @@ def sweep_snr(
     """SNR sweep: one MetricsRow per (snr grid point, algorithm)."""
     config.validate()
     meta: dict = {"sweep": "snr", "config": config_to_dict(config)}
-    needs_blind = any(a in BLIND for a in config.algorithms)
-    fixed = config.matrix_policy == "fixed"
+    d = build_matrix(config)
+    blind = None
+    if any(a in BLIND for a in config.algorithms):
+        blind, blind_meta = blind_params_for(config, d.coherence)
+        meta.update(blind_meta)
     outcomes = []
-    for gi, snr_db in enumerate(config.snr_grid_db):
-        if gi == 0 or not fixed:
-            d = build_matrix(config, salt=0 if fixed else gi)
-            blind, blind_meta = blind_params_for(config, d.coherence) if needs_blind else (None, {})
-            if fixed:
-                meta.update(blind_meta)
-            else:
-                meta.setdefault("per_point", []).append({"grid": snr_db, **blind_meta})
+    for snr_db in config.snr_grid_db:
         runs = [(snr_db, alg, blind) for alg in config.algorithms]
         outcomes.extend(_collect(d, config, snr_db, runs, threads))
     return aggregate(outcomes, config.trials), outcomes, meta
@@ -442,24 +444,27 @@ def outcomes_to_jsonl(
 
 _LIST_FIELDS = {"snr_grid_db", "algorithms", "omega_grid"}
 _CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_INT_FIELDS = {name for name, f in _CONFIG_FIELDS.items() if f.type in (int, int | None)}
 
 
 def _coerce(key: str, raw: str):
     raw = raw.strip()
     if key not in _CONFIG_FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
-    if key in _LIST_FIELDS:
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if key == "algorithms":
-            return tuple(parts)
-        return tuple(float(p) for p in parts)
-    if key in ("m", "n", "k", "trials", "base_seed", "mols_subset", "cosamp_max_iterations"):
-        return int(raw)
-    if key == "max_blind_iterations":
-        return None if raw.lower() in ("none", "") else int(raw)
-    if key in ("family", "matrix_policy"):
+    if key == "family":
         return raw
-    return float(raw)
+    if key == "algorithms":
+        return tuple(p.strip() for p in raw.split(",") if p.strip())
+    if key == "max_blind_iterations" and raw.lower() in ("none", ""):
+        return None
+    kind = int if key in _INT_FIELDS else float
+    try:
+        if key in _LIST_FIELDS:
+            return tuple(kind(p) for p in raw.split(",") if p.strip())
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(
+            f"config key {key!r}: cannot read {raw!r} as {kind.__name__}") from None
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:

@@ -39,7 +39,7 @@ class BoundSweep:
     m: int
     n: int
     mus: tuple[float, ...]
-    slack: float          # the vartheta used in the closed-form sweeps
+    slack: float          # the rho passed to the closed-form bound calculators
     k: int = 4
     k_range: tuple[int, int] = (1, 8)
     pmin_grid: tuple[float, ...] = PMIN_GRID

@@ -33,6 +33,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bounds import reconstructible_sparsity
 from .errors import InvalidParams, RankDeficient, ZeroResidual
 from .linalg import _entries, check_support, least_squares_on_support
 
@@ -66,8 +67,9 @@ class BlindStopParams:
 
     ``omega_star`` scales the coherence to form the stop threshold
     ``omega_star * mu``. ``max_iterations`` is a safety cap only; when None it
-    defaults to ``min(M, max(2 * ceil((1 + 1/mu) / 2), 32))`` so the cap never
-    cuts off the rule's own stopping point on high-coherence matrices.
+    defaults to ``min(M, max(2 * ceil(C), 32))``, with C the reconstructible
+    sparsity ``(1 + 1/mu) / 2``, so the cap never cuts off the rule's own
+    stopping point on high-coherence matrices.
     """
 
     omega_star: float
@@ -85,7 +87,7 @@ class BlindStopParams:
     def cap(self, m: int) -> int:
         if self.max_iterations is not None:
             return self.max_iterations
-        ceil_c = math.ceil((1.0 + 1.0 / self.mu) / 2.0)
+        ceil_c = math.ceil(reconstructible_sparsity(self.mu))
         return min(m, max(2 * ceil_c, BLIND_CAP_FLOOR))
 
 
@@ -97,87 +99,6 @@ def blind_stop_statistic(d, r) -> float:
     if rnorm < 1e-300:
         raise ZeroResidual("residual norm is numerically zero")
     return float(np.abs(e.T @ r).max()) / rnorm
-
-
-class _GreedyState:
-    """Selected support, an incrementally grown orthonormal basis of it, the
-    residual r with its norm, and the correlations ``c = E^T r``."""
-
-    def __init__(self, e: np.ndarray, y: np.ndarray):
-        self.e = e
-        m, n = e.shape
-        self.basis = np.zeros((m, 0))
-        self.proj_sq = np.zeros(n)  # per column j: ||P_S d_j||^2
-        self.selected: list[int] = []
-        self.mask = np.zeros(n, dtype=bool)
-        self.r = y.astype(np.float64).copy()
-        self.rnorm = float(np.linalg.norm(self.r))
-        self._refresh()
-
-    def _refresh(self) -> None:
-        self.c = self.e.T @ self.r
-        self._exact_rnorm = self.rnorm
-
-    def perp_norms(self) -> np.ndarray:
-        return np.sqrt(np.clip(1.0 - self.proj_sq, 0.0, None))
-
-    def add(self, j: int) -> None:
-        """Select column j; Gram-Schmidt with one re-orthogonalization pass."""
-        col = self.e[:, j]
-        v = col - self.basis @ (self.basis.T @ col)
-        v -= self.basis @ (self.basis.T @ v)
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-10:
-            raise RankDeficient(f"column {j} is numerically inside the selected span")
-        q = v / nv
-        self.basis = np.column_stack([self.basis, q])
-        g = q @ self.e
-        self.proj_sq += g ** 2
-        qr = q @ self.r
-        self.r -= q * qr
-        self.c -= g * qr
-        self.rnorm = float(np.linalg.norm(self.r))
-        if self.rnorm < CORR_REFRESH_REL * self._exact_rnorm:
-            self._refresh()
-        self.selected.append(j)
-        self.mask[j] = True
-
-
-def _scores(state: _GreedyState, rule: str) -> np.ndarray | None:
-    """Selection score of every column, -1 where ineligible; None if none is eligible.
-
-    OLS scores ``|<d_j, r>| / ||P_perp d_j||``, matching pursuit ``|<d_j, r>|``.
-    """
-    corr = np.abs(state.c)
-    w = state.perp_norms()
-    eligible = (~state.mask) & (w > SPAN_TOL)
-    if not eligible.any():
-        return None
-    if rule == "ols":
-        return np.where(eligible, corr / np.where(w > SPAN_TOL, w, 1.0), -1.0)
-    return np.where(eligible, corr, -1.0)
-
-
-def _select(state: _GreedyState, rule: str) -> int | None:
-    """Best unselected column, ties to the lowest index; None if none eligible."""
-    score = _scores(state, rule)
-    return None if score is None else int(np.argmax(score))
-
-
-def ols_select(d, y, support) -> int:
-    """Unselected index minimizing the projection residual after augmentation."""
-    e = _entries(d)
-    y = np.asarray(y, dtype=np.float64)
-    sup = check_support(support, e.shape[1])
-    if len(sup) >= e.shape[0]:
-        raise RankDeficient(f"support size {len(sup)} leaves no room in {e.shape[0]} rows")
-    state = _GreedyState(e, y)
-    for j in sup:
-        state.add(j)
-    pick = _select(state, "ols")
-    if pick is None:
-        raise RankDeficient("every remaining column lies in the selected span")
-    return pick
 
 
 _RULES = ("ols", "omp")
@@ -192,6 +113,10 @@ class GreedyPath:
     ||r_i||``; ``picks[i]`` is the column added at step i. The picks depend
     only on (d, y, rule), so every stop rule is a cut of one path and the
     algorithms sharing a selection rule can share the path of one y.
+
+    The current step is held as an orthonormal ``basis`` of the picked
+    columns, ``proj_sq[j] = ||P_S d_j||^2``, the residual ``r`` and the
+    correlations ``c = E^T r``.
     """
 
     def __init__(self, d, y, rule: str):
@@ -199,20 +124,67 @@ class GreedyPath:
             raise InvalidParams(f"unknown selection rule {rule!r}; known: {_RULES}")
         e = _entries(d)
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (e.shape[0],):
-            raise InvalidParams(f"y has shape {y.shape}, expected ({e.shape[0]},)")
+        m, n = e.shape
+        if y.shape != (m,):
+            raise InvalidParams(f"y has shape {y.shape}, expected ({m},)")
         self.e, self.y, self.rule = e, y, rule
-        self._state = _GreedyState(e, y)
-        self.picks: list[int] = self._state.selected
-        self.floor = RESIDUAL_FLOOR_REL * self._state.rnorm
-        self.residual_norms = [self._state.rnorm]
+        self.basis = np.zeros((m, 0))
+        self.proj_sq = np.zeros(n)
+        self._picked = np.zeros(n, dtype=bool)
+        self.r = y.copy()
+        rnorm = float(np.linalg.norm(self.r))
+        self._refresh(rnorm)
+        self.picks: list[int] = []
+        self.floor = RESIDUAL_FLOOR_REL * rnorm
+        self.residual_norms = [rnorm]
         self.statistics: list[float] = []
         self._exhausted = False  # no column can be added to the last step
+
+    def _refresh(self, rnorm: float) -> None:
+        self.c = self.e.T @ self.r
+        self._exact_rnorm = rnorm
+
+    def scores(self) -> np.ndarray | None:
+        """Selection score of every column, -1 where ineligible; None if none is eligible.
+
+        OLS scores ``|<d_j, r>| / ||P_perp d_j||``, matching pursuit ``|<d_j, r>|``.
+        """
+        corr = np.abs(self.c)
+        w = np.sqrt(np.clip(1.0 - self.proj_sq, 0.0, None))
+        eligible = (~self._picked) & (w > SPAN_TOL)
+        if not eligible.any():
+            return None
+        if self.rule == "ols":
+            return np.where(eligible, corr / np.where(w > SPAN_TOL, w, 1.0), -1.0)
+        return np.where(eligible, corr, -1.0)
+
+    def add(self, j: int) -> None:
+        """Pick column j: Gram-Schmidt with one re-orthogonalization pass, then
+        one ``g = E^T q`` updates the projected norms and the correlations."""
+        col = self.e[:, j]
+        v = col - self.basis @ (self.basis.T @ col)
+        v -= self.basis @ (self.basis.T @ v)
+        nv = float(np.linalg.norm(v))
+        if nv <= 1e-10:
+            raise RankDeficient(f"column {j} is numerically inside the selected span")
+        q = v / nv
+        self.basis = np.column_stack([self.basis, q])
+        g = q @ self.e
+        self.proj_sq += g ** 2
+        qr = q @ self.r
+        self.r -= q * qr
+        self.c -= g * qr
+        rnorm = float(np.linalg.norm(self.r))
+        if rnorm < CORR_REFRESH_REL * self._exact_rnorm:
+            self._refresh(rnorm)
+        self.picks.append(j)
+        self._picked[j] = True
+        self.residual_norms.append(rnorm)
 
     def statistic(self, i: int) -> float:
         """Blind statistic at step i, for i up to the number of picks."""
         if i == len(self.statistics):
-            corr_max = float(np.abs(self._state.c).max())
+            corr_max = float(np.abs(self.c).max())
             self.statistics.append(corr_max / self.residual_norms[i])
         return self.statistics[i]
 
@@ -223,17 +195,31 @@ class GreedyPath:
             if self.residual_norms[-1] <= self.floor:
                 break
             self.statistic(len(self.picks))
-            pick = _select(self._state, self.rule)
-            if pick is None:
+            score = self.scores()
+            if score is None:
                 self._exhausted = True
                 break
             try:
-                self._state.add(pick)
+                self.add(int(np.argmax(score)))  # ties go to the lowest index
             except RankDeficient:
                 self._exhausted = True
                 break
-            self.residual_norms.append(self._state.rnorm)
         return len(self.picks) > i
+
+
+def ols_select(d, y, support) -> int:
+    """Unselected index minimizing the projection residual after augmentation."""
+    path = GreedyPath(d, y, "ols")
+    m, n = path.e.shape
+    sup = check_support(support, n)
+    if len(sup) >= m:
+        raise RankDeficient(f"support size {len(sup)} leaves no room in {m} rows")
+    for j in sup:
+        path.add(j)
+    score = path.scores()
+    if score is None:
+        raise RankDeficient("every remaining column lies in the selected span")
+    return int(np.argmax(score))
 
 
 def _stop_at(path: GreedyPath, i: int, threshold, known_k, cap) -> StopReason | None:
@@ -388,27 +374,24 @@ def run_mols(d, y, k: int, subset_size: int) -> RecoveryResult:
     OLS criterion. Selection stops once k atoms are collected; the final
     least-squares estimate is pruned to the k largest coefficients.
     """
-    e = _entries(d)
-    y = np.asarray(y, dtype=np.float64)
-    m, n = e.shape
     if k < 0:
         raise InvalidParams(f"k must be >= 0, got {k}")
     if subset_size < 1:
         raise InvalidParams(f"subset_size must be >= 1, got {subset_size}")
-    if subset_size * math.ceil(k / max(subset_size, 1)) > m:
+    path = GreedyPath(d, y, "ols")
+    m, n = path.e.shape
+    if subset_size * math.ceil(k / subset_size) > m:
         raise InvalidParams(
             f"subset_size {subset_size} with k {k} may select more than M={m} atoms"
         )
-    state = _GreedyState(e, y)
-    ynorm = state.rnorm
-    history = [ynorm]
+    history = [path.residual_norms[0]]
     reason = StopReason.REACHED_KNOWN_K
     rounds = 0
-    while len(state.selected) < k:
-        if state.rnorm <= RESIDUAL_FLOOR_REL * ynorm:
+    while len(path.picks) < k:
+        if path.residual_norms[-1] <= path.floor:
             reason = StopReason.RESIDUAL_BELOW_FLOOR
             break
-        score = _scores(state, "ols")
+        score = path.scores()
         if score is None:
             reason = StopReason.RANK_DEFICIENT
             break
@@ -417,17 +400,17 @@ def run_mols(d, y, k: int, subset_size: int) -> RecoveryResult:
             if score[j] < 0:
                 break
             try:
-                state.add(int(j))
+                path.add(int(j))
             except RankDeficient:
                 continue
         rounds += 1
-        history.append(state.rnorm)
+        history.append(path.residual_norms[-1])
     try:
-        full = least_squares_on_support(e, y, state.selected)
+        full = least_squares_on_support(path.e, path.y, path.picks)
     except RankDeficient:
         return RecoveryResult(np.zeros(n), [], rounds, history, StopReason.RANK_DEFICIENT)
     x = np.zeros(n)
-    if k and state.selected:
+    if k and path.picks:
         keep = np.argsort(np.abs(full))[-k:]
         x[keep] = full[keep]
     support = [int(i) for i in np.nonzero(x)[0]]

@@ -16,8 +16,6 @@ TAG_OFFSET = 1
 TAG_SPECTRUM = 2
 TAG_NOISE = 3
 
-_MIX = 0x9E3779B97F4A7C15  # splitmix64 increment, used to derive sub-seeds
-
 
 def check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= MAX_SEED:
@@ -32,7 +30,3 @@ def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     key = np.array([check_seed(seed), (tag << 48) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def derive_seed(seed: int, salt: int) -> int:
-    """Derived 64-bit seed for auxiliary objects (e.g. per-grid-point matrices)."""
-    return (check_seed(seed) + _MIX * (salt + 1)) % (MAX_SEED + 1)

@@ -344,6 +344,64 @@ def test_experiment_infeasible_pmin_aborts_before_trials(tmp_path):
     assert not (tmp_path / "fig3.csv").exists()
 
 
+def one_error_line(proc):
+    return "Traceback" not in proc.stderr and proc.stderr.startswith("error:") \
+        and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("--set", "trials=abc"),
+    ("--set", "snr_grid_db=1,x"),
+    ("--set", "m=600"),
+    ("--set", "m=0"),
+    ("--set", "family=hybrid", "--set", "offset_max=-1"),
+    ("--seed", "-1"),
+    ("--set", "algorithms=mols", "--set", "mols_subset=0"),
+])
+def test_experiment_bad_values_are_usage_errors(tmp_path, args):
+    proc = run_cli("experiment", "--figure", "fig3", *args, "--out", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    assert one_error_line(proc), proc.stderr
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+def test_experiment_config_file_value_that_is_not_a_number_names_its_key(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[s]\nm = 32\nn = 64\ntrials = 2\nsnr_grid_db = 10, x\n")
+    proc = run_cli("experiment", "--figure", "custom", "--config", str(cfg), "--section", "s",
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert one_error_line(proc) and "snr_grid_db" in proc.stderr
+
+
+@pytest.mark.parametrize("env_seed, args", [(None, ("--seed", "-1")), (-1, ())])
+def test_recover_seed_out_of_range_is_usage_error(matrix_file, env_seed, args):
+    path, _ = matrix_file
+    proc = run_cli("recover", "--matrix", str(path), "--alg", "bols", "--k-true", "3",
+                   "--snr", "20", *args, env_seed=env_seed)
+    assert proc.returncode == 1
+    assert one_error_line(proc) and "seed" in proc.stderr
+
+
+@pytest.mark.parametrize("grid", ["a:b:c", "0.9:0.01:x", "0.9:0.01:inf"])
+def test_bounds_grid_that_is_not_numbers_is_usage_error(grid):
+    proc = run_cli("bounds", "--sweep", "pmin", "--m", "64", "--n", "128", "--mu", "0.3",
+                   "--rho", "0.1", "--grid", grid)
+    assert proc.returncode == 1
+    assert one_error_line(proc) and grid in proc.stderr
+
+
+@pytest.mark.parametrize("row, column", [("10,ols,high,0.1", "prob_recovery"),
+                                         ("10,ols", "prob_recovery")])
+def test_plot_bad_cell_names_line_and_column(tmp_path, row, column):
+    csv = tmp_path / "d.csv"
+    csv.write_text("grid,algorithm,prob_recovery,mse\n0,ols,0.5,0.1\n" + row + "\n")
+    proc = run_cli("plot", "--csv", str(csv), "--out", str(tmp_path / "d.svg"))
+    assert proc.returncode == 2
+    assert one_error_line(proc) and "line 3" in proc.stderr and repr(column) in proc.stderr
+    assert not (tmp_path / "d.svg").exists()
+
+
 def test_unknown_flag_is_usage_error():
     proc = run_cli("coherence", "--matrix", "x.bin", "--bogus")
     assert proc.returncode == 1

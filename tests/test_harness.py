@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sparsense.harness import (
     CSV_HEADER,
     ExperimentConfig,
     apply_overrides,
+    build_matrix,
     calibrate_noise,
     component_snr,
     config_from_mapping,
@@ -219,13 +221,6 @@ def test_sweep_omega_uses_raw_threshold():
     assert meta["sweep"] == "omega" and meta["snr_db"] == 25.0
 
 
-def test_matrix_per_point_policy():
-    cfg = small_config(matrix_policy="per_point", snr_grid_db=(10.0, 20.0),
-                       algorithms=("ols",), trials=3)
-    rows, _, meta = sweep_snr(cfg, threads=1)
-    assert len(rows) == 2
-
-
 def test_mse_vanishes_at_infinite_snr():
     cfg = small_config(snr_grid_db=(float("inf"),), algorithms=("ols", "omp"), trials=6)
     rows, _, _ = sweep_snr(cfg, threads=1)
@@ -274,6 +269,35 @@ def test_config_errors():
         small_config(algorithms=("nope",))
     with pytest.raises(ConfigError, match="family"):
         small_config(family="dense")
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("trials", "abc"), ("snr_grid_db", "1,x"), ("p_min", "high"),
+    ("max_blind_iterations", "3.5"), ("omega_grid", "1.0, ,two"),
+])
+def test_config_values_that_are_not_numbers_name_their_key(key, raw):
+    with pytest.raises(ConfigError, match=f"{key}.*{raw}"):
+        config_from_mapping({key: raw})
+    text = CONFIG_TEXT + f"{key} = {raw}\n"
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping(parse_config_text(text)["fig_small"])
+
+
+def test_validate_rejects_mols_parameters_every_trial_would_refuse():
+    with pytest.raises(ConfigError, match="mols_subset"):
+        small_config(algorithms=("mols",), mols_subset=0)
+    with pytest.raises(ConfigError, match="mols_subset"):
+        small_config(algorithms=("ols", "mols"), k=60, mols_subset=33)  # 66 > 64 rows
+    small_config(algorithms=("mols",), k=60, mols_subset=30)  # 60 atoms fit in 64 rows
+    small_config(algorithms=("ols",), mols_subset=0)  # not configured, not checked
+
+
+@pytest.mark.parametrize("kw", [
+    dict(m=600, n=512), dict(m=0), dict(family="hybrid", offset_max=-1.0), dict(base_seed=-1),
+])
+def test_build_matrix_turns_out_of_range_values_into_config_errors(kw):
+    with pytest.raises(ConfigError):
+        build_matrix(replace(small_config(), **kw))
 
 
 def test_overrides():

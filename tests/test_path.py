@@ -97,10 +97,10 @@ def test_updated_correlations_track_the_exact_product(family, snr_db):
             for i in range(k + 21):
                 if path.residual_norms[i] <= path.floor:
                     break
-                r = path._state.r
+                r = path.r
                 exact = e.T @ r
                 scale = np.abs(exact).max()
-                assert np.abs(np.abs(path._state.c) - np.abs(exact)).max() <= 1e-9 * scale
+                assert np.abs(np.abs(path.c) - np.abs(exact)).max() <= 1e-9 * scale
                 assert path.statistic(i) == pytest.approx(scale / np.linalg.norm(r), rel=1e-9)
                 if not path.grow(i):
                     break
@@ -132,14 +132,13 @@ def by_key(outcomes):
     return sorted(outcomes, key=lambda o: (o.grid, o.algorithm, o.trial_index))
 
 
-@pytest.mark.parametrize("policy", ["fixed", "per_point"])
-def test_sweep_snr_equals_per_algorithm_trials(policy):
-    cfg = tiny_config(matrix_policy=policy)
+def test_sweep_snr_equals_per_algorithm_trials():
+    cfg = tiny_config()
     _, outcomes, _ = sweep_snr(cfg, threads=1)
+    d = build_matrix(cfg)
+    blind, _ = blind_params_for(cfg, d.coherence)
     expect = []
-    for gi, snr_db in enumerate(cfg.snr_grid_db):
-        d = build_matrix(cfg, salt=gi if policy == "per_point" else 0)
-        blind, _ = blind_params_for(cfg, d.coherence)
+    for snr_db in cfg.snr_grid_db:
         for alg in cfg.algorithms:
             for t in range(cfg.trials):
                 expect.append(run_trial(d, cfg, t, alg, snr_db, blind))

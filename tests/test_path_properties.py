@@ -80,7 +80,7 @@ def test_recorded_statistics_equal_their_direct_recomputation(case):
         for i in range(e.shape[0] + 1):
             if path.residual_norms[i] <= path.floor:
                 break
-            r = path._state.r
+            r = path.r
             expect = np.abs(e.T @ r).max() / np.linalg.norm(r)
             assert path.statistic(i) == pytest.approx(expect, rel=1e-9)
             if not path.grow(i):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,57 @@ def test_mols_noiseless_exact():
     res = run_mols(d, y, 4, 2)
     assert sorted(res.support) == spec.support
     assert np.linalg.norm(res.x_hat - spec.x) <= 1e-8
+
+
+def reference_mols(d, y, k: int, subset_size: int) -> RecoveryResult:
+    """Definitional MOLS: each round refits by least squares, ranks every
+    candidate outside the selected span by its augmented projection residual
+    (as naive_ols_select does) and adds the best subset_size; the final fit is
+    pruned to the k largest coefficients."""
+    e = _entries(d)
+    n = e.shape[1]
+    ynorm = float(np.linalg.norm(y))
+    support, history, rounds = [], [ynorm], 0
+    reason = StopReason.REACHED_KNOWN_K
+    while len(support) < k:
+        if history[-1] <= RESIDUAL_FLOOR_REL * ynorm:
+            reason = StopReason.RESIDUAL_BELOW_FLOOR
+            break
+        rest = [j for j in range(n) if j not in support
+                and projection_residual_norm_sq(e, e[:, j], support) > 1e-24]
+        if not rest:
+            reason = StopReason.RANK_DEFICIENT
+            break
+        rest.sort(key=lambda j: projection_residual_norm_sq(e, y, support + [j]))
+        support += rest[:subset_size]
+        rounds += 1
+        history.append(float(np.linalg.norm(y - e @ least_squares_on_support(e, y, support))))
+    full = least_squares_on_support(e, y, support)
+    x = np.zeros(n)
+    keep = np.argsort(np.abs(full))[-k:]
+    x[keep] = full[keep]
+    return RecoveryResult(x, [int(i) for i in np.nonzero(x)[0]], rounds, history, reason)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "hybrid"])
+@pytest.mark.parametrize("subset_size", [2, 3])
+def test_mols_matches_the_definitional_loop(family, subset_size):
+    gen = gen_gaussian_normalized if family == "gaussian" else gen_hybrid_normalized
+    k = 7
+    for seed in range(3):
+        d = gen(48, 96, seed=30 + seed)
+        spec = gen_sparse_spectrum(96, k, 1.0, 0.01, stream(seed, 2, 0))
+        for snr_db in (20.0, 40.0, 60.0):
+            y, _ = calibrate_noise(d, spec.x, snr_db, stream(seed, 3, int(snr_db)))
+            want = reference_mols(d, y, k, subset_size)
+            got = run_mols(d, y, k, subset_size)
+            where = f"{family} L={subset_size} seed={seed} {snr_db} dB"
+            assert got.support == want.support, where
+            assert got.iterations == want.iterations == math.ceil(k / subset_size), where
+            assert got.stop_reason is want.stop_reason, where
+            np.testing.assert_allclose(got.x_hat, want.x_hat, rtol=1e-9, atol=0, err_msg=where)
+            np.testing.assert_allclose(got.residual_norm_history, want.residual_norm_history,
+                                       rtol=1e-9, err_msg=where)
 
 
 def test_mols_parameter_validation():
