@@ -91,6 +91,13 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be nonempty")
+        for key in _FLOAT_FIELDS:
+            value = getattr(self, key)
+            noiseless = key == "snr_grid_db"  # +inf is the noiseless grid point
+            for v in value if isinstance(value, tuple) else () if value is None else (value,):
+                if not (math.isfinite(v) or (noiseless and v == math.inf)):
+                    hint = " or +inf" if noiseless else ""
+                    raise ConfigError(f"config key {key!r} must be finite{hint}, got {v!r}")
         if not self.success_tolerance > 0:
             raise ConfigError(f"success_tolerance must be > 0, got {self.success_tolerance}")
         if self.k < 0 or self.k > self.n:
@@ -148,7 +155,9 @@ def gen_sparse_spectrum(n: int, k: int, mean: float, var: float, rng) -> SparseS
 def calibrate_noise(d, x, snr_db: float, rng) -> tuple[np.ndarray, float]:
     """Measurement y = Dx + noise with the noise level set so the realized
     signal energy over M sigma^2 equals the requested SNR. ``snr_db=inf``
-    returns the noiseless measurement."""
+    returns the noiseless measurement; NaN or -inf raises InvalidParams."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise InvalidParams(f"snr_db must be finite or +inf, got {snr_db}")
     e = _entries(d)
     x = np.asarray(x, dtype=np.float64)
     signal = e @ x
@@ -445,6 +454,8 @@ def outcomes_to_jsonl(
 _LIST_FIELDS = {"snr_grid_db", "algorithms", "omega_grid"}
 _CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 _INT_FIELDS = {name for name, f in _CONFIG_FIELDS.items() if f.type in (int, int | None)}
+_FLOAT_FIELDS = tuple(name for name, f in _CONFIG_FIELDS.items()
+                      if f.type in (float, tuple[float, ...], tuple[float, ...] | None))
 
 
 def _coerce(key: str, raw: str):

@@ -2,7 +2,10 @@
 
 Two column-normalized families are provided: i.i.d. Gaussian columns, and a
 "hybrid" family with per-column constant offsets whose coherence is close to 1.
-Generation is deterministic in the seed, with one Philox stream per column.
+Generation is deterministic in the seed: column j is drawn from the stream
+``streams.stream(seed, TAG_COLUMN, j)``. One Philox generator per matrix is
+re-keyed to each column's stream rather than one built per column, which
+gives the same draws.
 """
 
 import struct
@@ -38,8 +41,8 @@ class MeasurementMatrix:
             raise ValueError("matrix must be non-empty")
         if m > n:
             raise ValueError(f"require M <= N, got M={m}, N={n}")
-        norms = np.linalg.norm(e, axis=0)
-        bad = np.abs(norms - 1.0) > NORM_TOL
+        norms = np.sqrt(np.einsum("ij,ij->j", e, e))  # one pass, no M x N temporary
+        bad = ~(np.abs(norms - 1.0) <= NORM_TOL)
         if bad.any():
             j = int(np.argmax(bad))
             raise ValueError(f"column {j} has norm {norms[j]!r}, expected 1 within {NORM_TOL}")
@@ -87,20 +90,39 @@ def _check_shape(m: int, n: int):
         raise ValueError(f"require M <= N, got M={m}, N={n}")
 
 
+def _unit_columns(m: int, n: int, seed: int, scale=None, offsets=None) -> MeasurementMatrix:
+    """Column j: ``stream(seed, TAG_COLUMN, j).standard_normal(m)`` times
+    ``scale`` or plus ``offsets[j]``, divided by its norm, all in place in a
+    Fortran-order output. One generator is re-keyed per column: its Philox
+    state is set to a fresh generator's with column j's key, so it draws what
+    ``stream(seed, TAG_COLUMN, j)`` would. ``sqrt(col @ col)`` is what
+    ``np.linalg.norm`` computes for a vector."""
+    gen = stream(seed, TAG_COLUMN, 0)
+    fresh = gen.bit_generator.state
+    key = fresh["state"]["key"]
+    out = np.empty((m, n), order="F")
+    for j in range(n):
+        key[1] = (TAG_COLUMN << 48) | j
+        gen.bit_generator.state = fresh
+        col = out[:, j]
+        gen.standard_normal(out=col)
+        if scale is not None:
+            col *= scale
+        else:
+            col += offsets[j]
+        col /= np.sqrt(col @ col)
+    return MeasurementMatrix(out)
+
+
 def gen_gaussian_normalized(m: int, n: int, seed: int) -> MeasurementMatrix:
     """Gaussian matrix: entries i.i.d. N(0, 1/M), columns rescaled to unit norm.
 
-    Column j is drawn from its own counter-based stream, so the matrix is
-    bit-identical for identical (m, n, seed).
+    Column j comes from its own counter-based stream ``(seed, TAG_COLUMN, j)``,
+    so the matrix is bit-identical for identical (m, n, seed).
     """
     _check_shape(m, n)
     check_seed(seed)
-    scale = 1.0 / np.sqrt(m)
-    out = np.empty((m, n), order="F")
-    for j in range(n):
-        col = stream(seed, TAG_COLUMN, j).standard_normal(m) * scale
-        out[:, j] = col / np.linalg.norm(col)
-    return MeasurementMatrix(out)
+    return _unit_columns(m, n, seed, scale=1.0 / np.sqrt(m))
 
 
 def gen_hybrid_normalized(
@@ -108,21 +130,18 @@ def gen_hybrid_normalized(
 ) -> MeasurementMatrix:
     """Hybrid matrix: column j is N(0,1) entries plus a constant offset, normalized.
 
-    The offset of column j is drawn uniformly from [0, offset_max]; large
-    offsets align columns with the all-ones direction, driving coherence
-    toward 1. ``offset_max=0`` reduces to the Gaussian family up to column
-    scaling.
+    The offsets are one draw of n values from ``(seed, TAG_OFFSET)``, uniform
+    on [0, offset_max]; column j's entries come from ``(seed, TAG_COLUMN, j)``.
+    Large offsets align columns with the all-ones direction, driving
+    coherence toward 1. ``offset_max=0`` reduces to the Gaussian family up to
+    column scaling.
     """
     _check_shape(m, n)
     check_seed(seed)
-    if offset_max < 0:
-        raise ValueError(f"offset_max must be >= 0, got {offset_max}")
+    if not 0.0 <= offset_max < np.inf:
+        raise ValueError(f"offset_max must be finite and >= 0, got {offset_max}")
     offsets = stream(seed, TAG_OFFSET).uniform(0.0, offset_max, size=n)
-    out = np.empty((m, n), order="F")
-    for j in range(n):
-        col = stream(seed, TAG_COLUMN, j).standard_normal(m) + offsets[j]
-        out[:, j] = col / np.linalg.norm(col)
-    return MeasurementMatrix(out)
+    return _unit_columns(m, n, seed, offsets=offsets)
 
 
 def save_matrix(matrix: MeasurementMatrix, path) -> None:

@@ -116,7 +116,9 @@ class GreedyPath:
 
     The current step is held as an orthonormal ``basis`` of the picked
     columns, ``proj_sq[j] = ||P_S d_j||^2``, the residual ``r`` and the
-    correlations ``c = E^T r``.
+    correlations ``c = E^T r``. The least-squares fit of y on the first i
+    picks is memoized per prefix length i, so cuts stopping at one step
+    share one solve.
     """
 
     def __init__(self, d, y, rule: str):
@@ -139,6 +141,7 @@ class GreedyPath:
         self.residual_norms = [rnorm]
         self.statistics: list[float] = []
         self._exhausted = False  # no column can be added to the last step
+        self._fits: dict[int, np.ndarray | None] = {}  # None: the prefix is rank deficient
 
     def _refresh(self, rnorm: float) -> None:
         self.c = self.e.T @ self.r
@@ -206,6 +209,17 @@ class GreedyPath:
                 break
         return len(self.picks) > i
 
+    def fit(self, i: int) -> np.ndarray | None:
+        """Copy of the least-squares fit of y on the first i picks; None if
+        those columns are numerically rank deficient."""
+        if i not in self._fits:
+            try:
+                self._fits[i] = least_squares_on_support(self.e, self.y, self.picks[:i])
+            except RankDeficient:
+                self._fits[i] = None
+        x = self._fits[i]
+        return None if x is None else x.copy()
+
 
 def ols_select(d, y, support) -> int:
     """Unselected index minimizing the projection residual after augmentation."""
@@ -251,15 +265,13 @@ def _cut(
     i = 0
     while (reason := _stop_at(path, i, threshold, known_k, cap)) is None:
         i += 1
-    support = path.picks[:i]
-    try:
-        x_hat = least_squares_on_support(path.e, path.y, support)
-    except RankDeficient:
+    x_hat = path.fit(i)
+    if x_hat is None:
         x_hat = np.zeros(path.e.shape[1])
         reason = StopReason.RANK_DEFICIENT
     return RecoveryResult(
         x_hat=x_hat,
-        support=support,
+        support=path.picks[:i],
         iterations=i,
         residual_norm_history=path.residual_norms[: i + 1],
         stop_reason=reason,

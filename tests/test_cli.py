@@ -365,6 +365,32 @@ def test_experiment_bad_values_are_usage_errors(tmp_path, args):
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("figure, key, value", [
+    ("fig3", "snr_grid_db", "nan"),
+    ("fig3", "snr_grid_db", "-inf"),
+    ("fig5", "offset_max", "nan"),
+    ("fig3", "nonzero_var", "nan"),
+    ("fig3", "nonzero_mean", "nan"),
+    ("fig3", "nonzero_mean", "inf"),
+])
+def test_experiment_non_finite_values_are_usage_errors(tmp_path, figure, key, value):
+    proc = run_cli("experiment", "--figure", figure, "--set", "trials=2",
+                   "--set", f"{key}={value}", "--out", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    assert one_error_line(proc) and repr(key) in proc.stderr, proc.stderr
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("snr", ["-inf", "nan"])
+def test_recover_nan_or_minus_infinite_snr_is_domain_error(matrix_file, snr):
+    path, _ = matrix_file
+    proc = run_cli("recover", "--matrix", str(path), "--alg", "bols", "--k-true", "3",
+                   f"--snr={snr}")
+    assert proc.returncode == 2
+    assert one_error_line(proc) and "snr_db" in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_experiment_config_file_value_that_is_not_a_number_names_its_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[s]\nm = 32\nn = 64\ntrials = 2\nsnr_grid_db = 10, x\n")

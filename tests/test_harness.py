@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsense.errors import ConfigError, ZeroSignal
+from sparsense.errors import ConfigError, InvalidParams, ZeroSignal
 from sparsense.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -98,6 +98,14 @@ def test_calibrate_noise_energy_monte_carlo():
         noise = y - signal
         total += float(noise @ noise)
     assert total / draws == pytest.approx(2.56, rel=0.03)
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+def test_calibrate_rejects_nan_and_minus_infinite_snr(snr_db):
+    d = gen_gaussian_normalized(16, 32, seed=0)
+    spec = gen_sparse_spectrum(32, 2, 1.0, 0.01, 1)
+    with pytest.raises(InvalidParams, match="snr_db"):
+        calibrate_noise(d, spec.x, snr_db, 2)
 
 
 def test_calibrate_zero_signal():
@@ -292,8 +300,29 @@ def test_validate_rejects_mols_parameters_every_trial_would_refuse():
     small_config(algorithms=("ols",), mols_subset=0)  # not configured, not checked
 
 
+FLOAT_KEYS = ("offset_max", "snr_grid_db", "p_min", "rho", "success_tolerance",
+              "nonzero_mean", "nonzero_var", "omega_grid")
+
+
+@pytest.mark.parametrize("key, raw", [
+    (key, raw) for key in FLOAT_KEYS for raw in ("nan", "inf", "-inf")
+    if (key, raw) != ("snr_grid_db", "inf")  # the noiseless grid point
+])
+def test_validate_rejects_non_finite_floats_naming_the_key(key, raw):
+    value = (float(raw),) if key in ("snr_grid_db", "omega_grid") else float(raw)
+    with pytest.raises(ConfigError, match=f"'{key}' must be finite.*{raw}"):
+        small_config(**{key: value})
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        config_from_mapping({key: f"1, {raw}" if isinstance(value, tuple) else raw})
+
+
+def test_validate_keeps_the_noiseless_grid_point():
+    assert small_config(snr_grid_db=(10.0, math.inf)).snr_grid_db == (10.0, math.inf)
+
+
 @pytest.mark.parametrize("kw", [
     dict(m=600, n=512), dict(m=0), dict(family="hybrid", offset_max=-1.0), dict(base_seed=-1),
+    dict(family="hybrid", offset_max=math.nan), dict(family="hybrid", offset_max=math.inf),
 ])
 def test_build_matrix_turns_out_of_range_values_into_config_errors(kw):
     with pytest.raises(ConfigError):

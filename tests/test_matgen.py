@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sparsense.errors import MatrixFormatError
 from sparsense.matgen import (
     _COH_BLOCK,
+    MAGIC,
     MeasurementMatrix,
     coherence,
     export_csv,
@@ -12,6 +15,7 @@ from sparsense.matgen import (
     load_matrix,
     save_matrix,
 )
+from sparsense.streams import TAG_COLUMN, TAG_OFFSET, stream
 
 
 def brute_force_coherence(entries):
@@ -46,6 +50,32 @@ def test_hybrid_determinism_bit_identical():
     b = gen_hybrid_normalized(256, 512, seed=77)
     assert a.coherence == b.coherence
     assert np.array_equal(a.entries, b.entries)
+
+
+def definitional_matrix(family, m, n, seed, offset_max=10.0):
+    """Column j drawn from its own ``stream(seed, TAG_COLUMN, j)``, scaled by
+    1/sqrt(M) (Gaussian) or shifted by its offset (hybrid), then divided by
+    ``np.linalg.norm``."""
+    if family == "hybrid":
+        offsets = stream(seed, TAG_OFFSET).uniform(0.0, offset_max, size=n)
+    out = np.empty((m, n), order="F")
+    for j in range(n):
+        col = stream(seed, TAG_COLUMN, j).standard_normal(m)
+        col = col * (1.0 / np.sqrt(m)) if family == "gaussian" else col + offsets[j]
+        out[:, j] = col / np.linalg.norm(col)
+    return out
+
+
+@pytest.mark.parametrize("m, n, seed", [
+    (5, 7, 9), (1, 3, 0), (64, 128, 4), (200, 333, 12345), (256, 512, 2**64 - 1),
+])
+def test_generation_follows_the_per_column_stream_contract(m, n, seed):
+    g = gen_gaussian_normalized(m, n, seed)
+    assert g.entries.tobytes() == definitional_matrix("gaussian", m, n, seed).tobytes()
+    h = gen_hybrid_normalized(m, n, seed)
+    assert h.entries.tobytes() == definitional_matrix("hybrid", m, n, seed).tobytes()
+    h0 = gen_hybrid_normalized(m, n, seed, offset_max=0.0)
+    assert h0.entries.tobytes() == definitional_matrix("hybrid", m, n, seed, 0.0).tobytes()
 
 
 def test_shape_rejections():
@@ -148,7 +178,6 @@ def test_load_errors_name_byte_offsets(tmp_path):
     with pytest.raises(MatrixFormatError, match="byte offset 12"):
         load_matrix(path)
 
-    import struct
     path.write_bytes(b"SPRSMAT1" + struct.pack("<QQ", 8, 4))
     with pytest.raises(MatrixFormatError, match="byte offset 8"):
         load_matrix(path)
@@ -162,6 +191,36 @@ def test_constructor_rejects_unnormalized():
     bad = np.full((2, 3), 0.5)
     with pytest.raises(ValueError, match="norm"):
         MeasurementMatrix(bad)
+
+
+def one_column_off_unit_norm(off):
+    e = gen_gaussian_normalized(8, 12, seed=3).entries.copy()
+    e[:, 5] *= 1.0 + off
+    return e
+
+
+def matrix_file_bytes(e):
+    return MAGIC + struct.pack("<QQ", *e.shape) + np.asfortranarray(e).tobytes(order="F")
+
+
+@pytest.mark.parametrize("off", [2e-12, -2e-12, float("nan")])
+def test_validation_rejects_a_column_off_unit_norm_by_name(tmp_path, off):
+    e = one_column_off_unit_norm(off)
+    with pytest.raises(ValueError, match="column 5 has norm"):
+        MeasurementMatrix(e)
+    path = tmp_path / "off.bin"
+    path.write_bytes(matrix_file_bytes(e))
+    with pytest.raises(MatrixFormatError, match="byte offset 24.*column 5 has norm"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("off", [5e-13, -5e-13])
+def test_validation_accepts_a_column_within_tolerance(tmp_path, off):
+    e = one_column_off_unit_norm(off)
+    assert np.array_equal(MeasurementMatrix(e).entries, e)
+    path = tmp_path / "near.bin"
+    path.write_bytes(matrix_file_bytes(e))
+    assert np.array_equal(load_matrix(path).entries, e)
 
 
 def test_entries_read_only():

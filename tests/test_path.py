@@ -4,7 +4,7 @@ that synthesize each trial once and read every algorithm from its path."""
 import numpy as np
 import pytest
 
-from sparsense.errors import InvalidParams
+from sparsense.errors import InvalidParams, RankDeficient
 from sparsense.harness import (
     ExperimentConfig,
     blind_params_for,
@@ -193,6 +193,51 @@ def test_registry_runners_call_the_patched_module_functions(monkeypatch):
     sweep_snr(cfg, threads=1)
     per_point = cfg.trials * len(cfg.snr_grid_db)
     assert calls == {"run_cosamp": per_point, "run_bols": per_point}
+
+
+def test_each_cut_step_is_fitted_once_per_trial_and_rule(monkeypatch):
+    import sparsense.recovery as recovery
+
+    cfg = tiny_config(snr_grid_db=(30.0,), algorithms=("bols", "bomp", "ols", "omp"), trials=4)
+    grid = (0.2, 0.6, 1.0, 1.4, 2.0, 2.6)
+    original = recovery.least_squares_on_support
+
+    def refit_every_cut(self, i):
+        # every cut solves its own least squares, as before the memo
+        try:
+            return original(self.e, self.y, self.picks[:i])
+        except RankDeficient:
+            return None
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GreedyPath, "fit", refit_every_cut)
+        _, per_cut, _ = sweep_omega(cfg, grid, threads=1)
+
+    calls = []
+
+    def counting(e, y, support):
+        calls.append(len(support))
+        return original(e, y, support)
+
+    monkeypatch.setattr(recovery, "least_squares_on_support", counting)
+    _, outcomes, _ = sweep_omega(cfg, grid, threads=1)
+    assert by_key(outcomes) == by_key(per_cut)
+    rule = {"bols": "ols", "ols": "ols", "bomp": "omp", "omp": "omp"}
+    steps = {(o.trial_index, rule[o.algorithm], o.iterations) for o in outcomes}
+    assert len(calls) == len(steps) < len(outcomes)
+    assert sorted(calls) == sorted(i for _, _, i in steps)
+
+
+def test_cuts_at_one_step_get_their_own_estimates():
+    d, y = instance("hybrid", 64, 128, 4, 40.0, seed=5)
+    path = GreedyPath(d, y, "ols")
+    first = run_ols_known_k(d, y, 3, path=path)
+    second = run_ols_known_k(d, y, 3, path=path)
+    kept = second.x_hat.copy()
+    first.x_hat[:] = 99.0
+    assert np.array_equal(second.x_hat, kept)
+    assert np.array_equal(run_ols_known_k(d, y, 3, path=path).x_hat, kept)
+    assert np.array_equal(run_ols_known_k(d, y, 3).x_hat, kept)
 
 
 # ------------------------------------------------------------ loop reference
