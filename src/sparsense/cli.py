@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,10 @@ from .harness import (
     BLIND,
     ExperimentConfig,
     _run_algorithm,
+    _synthesize,
     apply_overrides,
     blind_params_for,
     build_matrix,
-    calibrate_noise,
-    gen_sparse_spectrum,
     load_config,
     outcomes_to_jsonl,
     rows_to_csv,
@@ -37,7 +37,7 @@ from .harness import (
 from .matgen import export_csv, load_matrix, save_matrix
 from .presets import FIGURES, SCALES, BoundSweep, figure_preset
 from .recovery import BlindStopParams
-from .streams import TAG_NOISE, TAG_SPECTRUM, check_seed, stream
+from .streams import check_seed
 from .svgplot import line_plot
 
 USAGE_EXIT = 1
@@ -122,24 +122,20 @@ def _read_vector(path, m: int) -> np.ndarray:
 
 def _cmd_recover(args) -> int:
     mat = load_matrix(args.matrix)
-    seed = _seed(args.seed)
+    config = ExperimentConfig(
+        m=mat.m, n=mat.n, k=0 if args.k is None else args.k, algorithms=(args.alg,),
+        base_seed=_seed(args.seed), p_min=args.pmin, rho=args.rho, mols_subset=args.mols_subset,
+    )
     truth = None
     if args.y:
         y = _read_vector(args.y, mat.m)
     else:
         if args.k_true is None or args.snr is None:
             raise ConfigError("without --y, both --k-true and --snr are required")
-        spec = gen_sparse_spectrum(
-            mat.n, args.k_true, 1.0, 0.01, stream(seed, TAG_SPECTRUM, 0)
-        )
-        y, _ = calibrate_noise(mat, spec.x, args.snr, stream(seed, TAG_NOISE, 0))
+        # trial 0 of a sweep with this seed and a sparsity of --k-true
+        spec, y = _synthesize(mat, replace(config, k=args.k_true), 0, args.snr)
         truth = {"true_support": spec.support}
 
-    config = ExperimentConfig(
-        m=mat.m, n=mat.n, k=0 if args.k is None else args.k, algorithms=(args.alg,),
-        p_min=args.pmin, rho=args.rho, mols_subset=args.mols_subset,
-        max_blind_iterations=args.max_iterations,
-    )
     blind, extra = None, {}
     if args.alg not in BLIND:
         if args.k is None:
@@ -151,6 +147,7 @@ def _cmd_recover(args) -> int:
         extra = {"omega_star": args.omega_star, "mu": mat.coherence}
     else:
         blind, meta = blind_params_for(config, mat.coherence)
+        blind = replace(blind, max_iterations=args.max_iterations)
         extra = {key: meta[key] for key in ("omega", "omega_star", "mu")}
         extra.update(p_min=args.pmin, rho=args.rho)
     result = _run_algorithm(args.alg, mat, y, config, blind, {})
@@ -354,26 +351,19 @@ def _write_bound_outputs(out_dir: Path, figure: str, sweep: BoundSweep):
 
 
 def _cmd_experiment(args) -> int:
-    preset = figure_preset(args.figure, args.scale) if args.figure != "custom" else None
     out_dir = Path(args.out)
-    if isinstance(preset, BoundSweep):
-        _write_bound_outputs(out_dir, args.figure, preset)
-        return 0
-
     if args.figure == "custom":
         if not args.config or not args.section:
             raise ConfigError("--figure custom requires --config and --section")
         sweeps = [(args.section, load_config(args.config, args.section))]
+    elif args.config or args.section:
+        raise ConfigError(f"--config and --section go with --figure custom; "
+                          f"--figure {args.figure} is a preset")
     else:
-        sweeps = []
-        for label, config in preset:
-            if args.config:
-                try:
-                    config = load_config(args.config, label)
-                except ConfigError as exc:
-                    if "not found" not in str(exc):
-                        raise
-            sweeps.append((label, config))
+        sweeps = figure_preset(args.figure, args.scale)
+        if isinstance(sweeps, BoundSweep):
+            _write_bound_outputs(out_dir, args.figure, sweeps)
+            return 0
 
     for label, config in sweeps:
         if args.set:
@@ -492,7 +482,7 @@ def build_parser() -> _Parser:
     i.set_defaults(fn=_cmd_invert_omega)
 
     e = sub.add_parser("experiment", help="run a figure preset or custom sweep")
-    e.add_argument("--figure", choices=FIGURES + ("custom",), required=True)
+    e.add_argument("--figure", choices=(*FIGURES, "custom"), required=True)
     e.add_argument("--scale", choices=SCALES, default="desk")
     e.add_argument("--config", default=None, help="key = value config file with [sections]")
     e.add_argument("--section", default=None, help="section name for --figure custom")

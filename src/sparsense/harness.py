@@ -45,8 +45,7 @@ REGISTRY = {
     "bomp": ("omp", lambda d, y, c, blind, path: run_bomp(d, y, blind, path=path)),
     "ols": ("ols", lambda d, y, c, blind, path: run_ols_known_k(d, y, c.k, path=path)),
     "bols": ("ols", lambda d, y, c, blind, path: run_bols(d, y, blind, path=path)),
-    "cosamp": (None, lambda d, y, c, blind, path: run_cosamp(
-        d, y, c.k, max_iterations=c.cosamp_max_iterations)),
+    "cosamp": (None, lambda d, y, c, blind, path: run_cosamp(d, y, c.k)),
     "mols": (None, lambda d, y, c, blind, path: run_mols(d, y, c.k, c.mols_subset)),
 }
 ALGORITHMS = tuple(REGISTRY)
@@ -80,8 +79,6 @@ class ExperimentConfig:
     nonzero_mean: float = 1.0
     nonzero_var: float = 0.01
     mols_subset: int = 2
-    cosamp_max_iterations: int = 50
-    max_blind_iterations: int | None = None
     omega_grid: tuple[float, ...] | None = None
 
     def validate(self) -> "ExperimentConfig":
@@ -205,6 +202,24 @@ def _run_algorithm(
     return runner(d, y, config, blind, paths.get(rule))
 
 
+def _synthesize(
+    d: MeasurementMatrix, config: ExperimentConfig, trial_index: int, snr_db: float
+) -> tuple[SparseSpectrum, np.ndarray]:
+    """Trial ``trial_index``'s spectrum and its measurement at ``snr_db``.
+
+    Spectrum and noise streams are keyed by (base_seed, role, trial_index)
+    only, so every algorithm and grid value of the trial sees the same draw.
+    """
+    spec = gen_sparse_spectrum(
+        config.n, config.k, config.nonzero_mean, config.nonzero_var,
+        stream(config.base_seed, TAG_SPECTRUM, trial_index),
+    )
+    y, _sigma = calibrate_noise(
+        d, spec.x, snr_db, stream(config.base_seed, TAG_NOISE, trial_index)
+    )
+    return spec, y
+
+
 def _trial_outcomes(
     d: MeasurementMatrix,
     config: ExperimentConfig,
@@ -214,17 +229,10 @@ def _trial_outcomes(
 ) -> list[TrialOutcome]:
     """Outcomes of one trial for each (grid value, algorithm, blind parameters).
 
-    Spectrum and noise streams are keyed by (base_seed, role, trial_index)
-    only, so x and y are synthesized once and every run sees the same draw;
-    runs sharing a selection rule read their results from one greedy path.
+    x and y are synthesized once and every run sees the same draw; runs
+    sharing a selection rule read their results from one greedy path.
     """
-    spec = gen_sparse_spectrum(
-        config.n, config.k, config.nonzero_mean, config.nonzero_var,
-        stream(config.base_seed, TAG_SPECTRUM, trial_index),
-    )
-    y, _sigma = calibrate_noise(
-        d, spec.x, snr_db, stream(config.base_seed, TAG_NOISE, trial_index)
-    )
+    spec, y = _synthesize(d, config, trial_index, snr_db)
     xnorm = float(np.linalg.norm(spec.x))
     paths: dict[str, GreedyPath] = {}
     outcomes = []
@@ -306,12 +314,7 @@ def blind_params_for(config: ExperimentConfig, mu: float) -> tuple[BlindStopPara
             "doubling the ceiling moves omega by under 2 percent at these sizes"
         ),
     }
-    return (
-        BlindStopParams(
-            omega_star=omega_star, mu=mu, max_iterations=config.max_blind_iterations
-        ),
-        meta,
-    )
+    return BlindStopParams(omega_star=omega_star, mu=mu), meta
 
 
 def _collect(
@@ -394,15 +397,13 @@ def sweep_omega(
     mu = d.coherence
     meta = {
         "sweep": "omega",
-        "snr_db": snr_db,
+        "snr_db": _json_grid(snr_db),
         "mu": mu,
         "config": config_to_dict(config),
     }
     runs = []
     for omega in omega_grid:
-        blind = BlindStopParams(
-            omega_star=omega, mu=mu, max_iterations=config.max_blind_iterations
-        )
+        blind = BlindStopParams(omega_star=omega, mu=mu)
         for alg in config.algorithms:
             runs.append((omega, alg, blind if alg in BLIND else None))
     outcomes = _collect(d, config, snr_db, runs, threads)
@@ -419,6 +420,12 @@ def rows_to_csv(rows: list[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_grid(value):
+    """A grid value for JSON output: the noiseless point +inf, which JSON
+    cannot hold, as the string "inf" that the CSV also writes."""
+    return "inf" if value == math.inf else value
+
+
 def outcomes_to_jsonl(
     outcomes: list[TrialOutcome], config: ExperimentConfig
 ) -> str:
@@ -431,11 +438,11 @@ def outcomes_to_jsonl(
                     "algorithm": o.algorithm,
                     "seed": config.base_seed,
                     "trial": o.trial_index,
-                    "grid": o.grid,
+                    "grid": _json_grid(o.grid),
                     "K": config.k,
                     "M": config.m,
                     "N": config.n,
-                    "snr_db": o.snr_db,
+                    "snr_db": _json_grid(o.snr_db),
                     "success": o.success,
                     "exact_support": o.exact_support,
                     "mse_contrib": o.mse_contrib,
@@ -449,11 +456,11 @@ def outcomes_to_jsonl(
 
 
 # ---------------------------------------------------------------------------
-# configuration files: line-oriented "key = value" with one section per figure
+# configuration files: line-oriented "key = value" with one section per sweep
 
 _LIST_FIELDS = {"snr_grid_db", "algorithms", "omega_grid"}
 _CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
-_INT_FIELDS = {name for name, f in _CONFIG_FIELDS.items() if f.type in (int, int | None)}
+_INT_FIELDS = {name for name, f in _CONFIG_FIELDS.items() if f.type is int}
 _FLOAT_FIELDS = tuple(name for name, f in _CONFIG_FIELDS.items()
                       if f.type in (float, tuple[float, ...], tuple[float, ...] | None))
 
@@ -466,8 +473,6 @@ def _coerce(key: str, raw: str):
         return raw
     if key == "algorithms":
         return tuple(p.strip() for p in raw.split(",") if p.strip())
-    if key == "max_blind_iterations" and raw.lower() in ("none", ""):
-        return None
     kind = int if key in _INT_FIELDS else float
     try:
         if key in _LIST_FIELDS:
@@ -529,5 +534,5 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     out = {}
     for f in fields(ExperimentConfig):
         v = getattr(config, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
+        out[f.name] = [_json_grid(x) for x in v] if isinstance(v, tuple) else v
     return out

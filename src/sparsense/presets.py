@@ -4,7 +4,8 @@
 full matrix sizes and 1000 trials and take a few minutes each (README gives
 the measured times). Every preset is a plain ExperimentConfig (or a
 bound-sweep description for the closed-form figures), so any key can be
-overridden from a config file or the CLI.
+overridden with ``--set``. This module is the only definition of a figure
+sweep.
 """
 
 from dataclasses import dataclass
@@ -46,14 +47,10 @@ class BoundSweep:
 
 
 def _fig3(scale: str) -> ExperimentConfig:
-    if scale == "paper":
-        return ExperimentConfig(
-            family="gaussian", m=1024, n=2048, k=4, snr_grid_db=GAUSS_GRID,
-            algorithms=("bols", "ols"), trials=1000, base_seed=310,
-        )
+    m, n, trials = (1024, 2048, 1000) if scale == "paper" else (256, 512, 300)
     return ExperimentConfig(
-        family="gaussian", m=256, n=512, k=4, snr_grid_db=GAUSS_GRID,
-        algorithms=("bols", "ols"), trials=300, base_seed=310,
+        family="gaussian", m=m, n=n, k=4, snr_grid_db=GAUSS_GRID,
+        algorithms=("bols", "ols"), trials=trials, base_seed=310,
     )
 
 
@@ -86,25 +83,25 @@ def _fig7(scale: str, n: int) -> ExperimentConfig:
     )
 
 
+# figure -> builder(scale): a list of (label, ExperimentConfig) sweeps, or a
+# BoundSweep for the closed-form figures. Figure 6 (MSE) has no preset of its
+# own: fig5 writes it as ``<label>_mse.svg``.
+FIGURES = {
+    "fig2a": lambda scale: BoundSweep(
+        kind="mapping_k", m=1024, n=8192, mus=REFERENCE_MUS, slack=0.15),
+    "fig2b": lambda scale: BoundSweep(
+        kind="snr_pmin", m=1024, n=8192, mus=REFERENCE_MUS, slack=0.15, k=4),
+    "fig3": lambda scale: [("fig3", _fig3(scale))],
+    "fig4": lambda scale: [("fig4", _fig4(scale))],
+    "fig5": lambda scale: [("fig5_k8", _fig5(scale, 8)), ("fig5_k12", _fig5(scale, 12))],
+    "fig7": lambda scale: [("fig7_a", _fig7(scale, 512)), ("fig7_b", _fig7(scale, 256))],
+}
+
+
 def figure_preset(figure: str, scale: str):
-    """Preset for a named figure: either a list of (label, ExperimentConfig)
-    sweeps or a BoundSweep for the closed-form figures. Figure 6 (MSE) has no
-    preset of its own: fig5 writes it as ``<label>_mse.svg``."""
+    """The sweeps of a named figure at a scale, as ``FIGURES`` builds them."""
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}; use one of {SCALES}")
-    if figure == "fig2a":
-        return BoundSweep(kind="mapping_k", m=1024, n=8192, mus=REFERENCE_MUS, slack=0.15)
-    if figure == "fig2b":
-        return BoundSweep(kind="snr_pmin", m=1024, n=8192, mus=REFERENCE_MUS, slack=0.15, k=4)
-    if figure == "fig3":
-        return [("fig3", _fig3(scale))]
-    if figure == "fig4":
-        return [("fig4", _fig4(scale))]
-    if figure == "fig5":
-        return [("fig5_k8", _fig5(scale, 8)), ("fig5_k12", _fig5(scale, 12))]
-    if figure == "fig7":
-        return [("fig7_a", _fig7(scale, 512)), ("fig7_b", _fig7(scale, 256))]
-    raise ConfigError(f"unknown figure {figure!r}")
-
-
-FIGURES = ("fig2a", "fig2b", "fig3", "fig4", "fig5", "fig7")
+    if figure not in FIGURES:
+        raise ConfigError(f"unknown figure {figure!r}")
+    return FIGURES[figure](scale)

@@ -45,10 +45,14 @@ def line_plot(
     y_label: str = "",
     logy: bool = False,
 ) -> str:
-    """SVG document with one line per series, keyed by legend label."""
-    pts_all = [(x, y) for pts in series.values() for (x, y) in pts]
-    if logy:
-        pts_all = [(x, y) for (x, y) in pts_all if y > 0]
+    """SVG document with one line per series, keyed by legend label. Points
+    with a non-finite coordinate, or y <= 0 on a log axis, are left out."""
+
+    def drawable(pts):
+        return [(x, y) for (x, y) in pts
+                if math.isfinite(x) and math.isfinite(y) and (y > 0 or not logy)]
+
+    pts_all = [p for pts in series.values() for p in drawable(pts)]
 
     def ty(y):
         return math.log10(y) if logy else y
@@ -134,13 +138,13 @@ def line_plot(
     # series
     for idx, (label, pts) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
-        drawable = [(x, y) for (x, y) in pts if (not logy) or y > 0]
-        coords = " ".join(f"{px(x):.1f},{py(ty(y)):.1f}" for x, y in sorted(drawable))
+        kept = drawable(pts)
+        coords = " ".join(f"{px(x):.1f},{py(ty(y)):.1f}" for x, y in sorted(kept))
         if coords:
             out.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
             )
-            for x, y in drawable:
+            for x, y in kept:
                 out.append(
                     f'<circle cx="{px(x):.1f}" cy="{py(ty(y)):.1f}" r="3" fill="{color}"/>'
                 )

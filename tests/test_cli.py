@@ -136,6 +136,70 @@ def test_recover_matches_direct_runner_calls_for_every_algorithm(matrix_file, tm
             assert out["omega_star"] == meta["omega_star"]
 
 
+@pytest.fixture(scope="module")
+def feasible_matrix_file(tmp_path_factory):
+    """A 256x512 Gaussian matrix, on which the default --pmin 0.95 inverts."""
+    path = tmp_path_factory.mktemp("mats") / "g256.bin"
+    proc = run_cli("gen-matrix", "--family", "gaussian", "--m", "256", "--n", "512",
+                   "--seed", "3", "--out", str(path))
+    assert proc.returncode == 0, proc.stderr
+    return path, json.loads(proc.stdout)
+
+
+def recover_json(path, *args):
+    proc = run_cli("recover", "--matrix", str(path), "--alg", "bols",
+                   "--k-true", "6", "--snr", "30", "--seed", "5", *args)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("threshold", [(), ("--omega-star", "0")], ids=["inversion", "omega0"])
+def test_recover_max_iterations_caps_a_blind_run(feasible_matrix_file, threshold):
+    path, _ = feasible_matrix_file
+    free = recover_json(path, *threshold)
+    assert free["iterations"] > 3
+    capped = recover_json(path, *threshold, "--max-iterations", "3")
+    assert capped["iterations"] == 3
+    assert capped["stop_reason"] == "ReachedMaxIterations"
+    assert capped["support"] == free["support"][:3]
+    if not threshold:  # the inversion still reports its threshold
+        assert capped["omega_star"] == free["omega_star"] > 0
+
+
+def test_recover_omega_star_sets_the_threshold_scale(feasible_matrix_file):
+    path, info = feasible_matrix_file
+    out = recover_json(path, "--omega-star", "1.2")
+    assert out["omega_star"] == 1.2
+    assert out["mu"] == info["coherence"]
+    assert "omega" not in out and "p_min" not in out
+
+
+def test_recover_synthesizes_sweep_trial_zero(matrix_file, monkeypatch):
+    from sparsense import harness
+    from sparsense.matgen import load_matrix
+    from sparsense.recovery import run_ols_known_k
+
+    path, _ = matrix_file
+    mat = load_matrix(path)
+    drawn = {}
+    spectrum, noise = harness.gen_sparse_spectrum, harness.calibrate_noise
+    monkeypatch.setattr(harness, "gen_sparse_spectrum",
+                        lambda *a, **kw: drawn.setdefault("spec", spectrum(*a, **kw)))
+    monkeypatch.setattr(harness, "calibrate_noise",
+                        lambda *a, **kw: drawn.setdefault("noisy", noise(*a, **kw)))
+    config = harness.ExperimentConfig(m=mat.m, n=mat.n, k=4, base_seed=11)
+    harness.run_trial(mat, config, 0, "ols", 15.0, None)
+    monkeypatch.undo()
+    proc = run_cli("recover", "--matrix", str(path), "--alg", "ols", "--k", "4",
+                   "--k-true", "4", "--snr", "15", "--seed", "11")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["true_support"] == drawn["spec"].support
+    expect = run_ols_known_k(mat, drawn["noisy"][0], 4)  # recover measured the same y
+    assert out["support"] == expect.support
+    assert out["nonzeros"] == {str(i): expect.x_hat[i] for i in expect.support}
+
+
 @pytest.mark.parametrize("alg", ["ols", "omp", "cosamp", "mols"])
 def test_recover_known_k_algorithm_without_k_is_usage_error(matrix_file, alg):
     path, _ = matrix_file
@@ -357,6 +421,8 @@ def one_error_line(proc):
     ("--set", "family=hybrid", "--set", "offset_max=-1"),
     ("--seed", "-1"),
     ("--set", "algorithms=mols", "--set", "mols_subset=0"),
+    ("--set", "max_blind_iterations=3"),  # deleted keys are unknown
+    ("--set", "cosamp_max_iterations=10"),
 ])
 def test_experiment_bad_values_are_usage_errors(tmp_path, args):
     proc = run_cli("experiment", "--figure", "fig3", *args, "--out", str(tmp_path))
@@ -379,6 +445,60 @@ def test_experiment_non_finite_values_are_usage_errors(tmp_path, figure, key, va
     assert proc.returncode == 1, proc.stderr
     assert one_error_line(proc) and repr(key) in proc.stderr, proc.stderr
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ("--figure", "fig5", "--config", "CFG"),
+    ("--figure", "fig3", "--config", "CFG", "--section", "fig3"),
+    ("--figure", "fig3", "--config", "missing.cfg", "--section", "nope"),
+    ("--figure", "fig4", "--section", "fig4"),
+    ("--figure", "fig2a", "--config", "CFG"),
+], ids=["fig5-config", "fig3-config-section", "fig3-missing-config", "fig4-section",
+        "fig2a-config"])
+def test_experiment_preset_with_config_or_section_is_usage_error(tmp_path, args):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("[fig5_k8]\ntrials = 2\n[fig3]\ntrials = 2\n")
+    out = tmp_path / "out"
+    proc = run_cli("experiment", *(str(cfg) if a == "CFG" else a for a in args),
+                   "--set", "trials=2", "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert one_error_line(proc) and "--figure custom" in proc.stderr, proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("grid", ["inf", "inf,10"])
+def test_experiment_noiseless_grid_point_writes_valid_json_and_plots(tmp_path, grid):
+    proc = run_cli("experiment", "--figure", "fig3", "--set", "trials=1",
+                   "--set", f"snr_grid_db={grid}", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    expected = [v if v == "inf" else float(v) for v in grid.split(",")]
+    records = [strict_json(line) for line in (tmp_path / "fig3.jsonl").read_text().splitlines()]
+    assert {r["grid"] for r in records} == set(expected)
+    assert all(r["snr_db"] == r["grid"] for r in records)
+    summary = strict_json((tmp_path / "fig3_summary.json").read_text())
+    assert summary["config"]["snr_grid_db"] == expected
+    assert "inf,bols," in (tmp_path / "fig3.csv").read_text()
+    for suffix in ("_prob.svg", "_mse.svg"):
+        assert (tmp_path / f"fig3{suffix}").read_text().startswith("<svg")
+
+
+def test_plot_leaves_out_non_finite_points(tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_text("grid,algorithm,prob_recovery,mse,mean_iterations,trials\n"
+                   "10,ols,0.5,0.1,3,10\n20,ols,0.9,0.001,3,10\ninf,ols,1,1e-33,3,10\n"
+                   "30,ols,nan,0.01,3,10\n")
+    for extra in ((), ("--y", "mse", "--logy")):
+        svg = tmp_path / "d.svg"
+        proc = run_cli("plot", "--csv", str(csv), *extra, "--out", str(svg))
+        assert proc.returncode == 0, proc.stderr
+        circles = svg.read_text().count("<circle")
+        assert circles == (2 if not extra else 3)
 
 
 @pytest.mark.parametrize("snr", ["-inf", "nan"])

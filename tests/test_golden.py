@@ -1,5 +1,5 @@
-"""Golden outputs: three desk sweeps at 3 trials, rerun through the CLI and
-compared with the committed CSV and JSONL under tests/data/golden.
+"""Golden outputs: the six desk preset sweeps at 3 trials, rerun through the
+CLI and compared with the committed CSV and JSONL under tests/data/golden.
 
 Every field must match exactly except ``mse`` (CSV) and ``mse_contrib``
 (JSONL), which are compared at rel 1e-9: they come from least-squares
@@ -8,10 +8,9 @@ stop reasons and iteration counts may not. A change that moves any other
 field changes the program's results and must regenerate the files and
 explain every changed number. To regenerate, from the repository root:
 
-    for s in fig4 fig5_k8 fig7_b; do
-      PYTHONPATH=src python -m sparsense.cli experiment --figure custom \\
-        --config configs/figures.cfg --section $s --set trials=3 \\
-        --threads 1 --out tests/data/golden
+    for f in fig3 fig4 fig5 fig7; do
+      PYTHONPATH=src python -m sparsense.cli experiment --figure $f \\
+        --set trials=3 --threads 1 --out tests/data/golden
     done
 
 and delete the SVG and summary files it also writes.
@@ -26,7 +25,8 @@ from sparsense.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden"
-SECTIONS = ("fig4", "fig5_k8", "fig7_b")
+FIGURES = ("fig3", "fig4", "fig5", "fig7")
+LABELS = ("fig3", "fig4", "fig5_k8", "fig5_k12", "fig7_a", "fig7_b")
 LOOSE = ("mse", "mse_contrib")
 
 
@@ -51,18 +51,18 @@ def jsonl_rows(path: Path) -> list[dict]:
 @pytest.fixture(scope="module")
 def rerun(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    for section in SECTIONS:
+    for figure in FIGURES:
         assert main([
-            "experiment", "--figure", "custom", "--config", str(ROOT / "configs" / "figures.cfg"),
-            "--section", section, "--set", "trials=3", "--threads", "1", "--out", str(out),
+            "experiment", "--figure", figure, "--set", "trials=3", "--threads", "1",
+            "--out", str(out),
         ]) == 0
     return out
 
 
-@pytest.mark.parametrize("section", SECTIONS)
+@pytest.mark.parametrize("label", LABELS)
 @pytest.mark.parametrize("suffix, read", [(".csv", csv_rows), (".jsonl", jsonl_rows)])
-def test_outputs_match_the_golden_files(rerun, section, suffix, read):
-    name = section + suffix
+def test_outputs_match_the_golden_files(rerun, label, suffix, read):
+    name = label + suffix
     got, want = read(rerun / name), read(GOLDEN / name)
     assert len(got) == len(want), name
     for i, (g, w) in enumerate(zip(got, want)):

@@ -236,6 +236,19 @@ def test_mse_vanishes_at_infinite_snr():
         assert row.mse <= 1e-12
 
 
+def test_omega_sweep_at_the_noiseless_point_writes_inf_as_a_string():
+    cfg = small_config(snr_grid_db=(math.inf,), algorithms=("bols",), trials=2)
+    _, outcomes, meta = sweep_omega(cfg, (1.0, 2.0), threads=1)
+    assert meta["snr_db"] == "inf" and meta["config"]["snr_grid_db"] == ["inf"]
+
+    def refuse(token):
+        raise ValueError(token)
+
+    for line in outcomes_to_jsonl(outcomes, cfg).splitlines():
+        rec = json.loads(line, parse_constant=refuse)
+        assert rec["snr_db"] == "inf" and rec["grid"] in (1.0, 2.0)
+
+
 # ------------------------------------------------------------------------- config
 
 CONFIG_TEXT = """
@@ -281,7 +294,7 @@ def test_config_errors():
 
 @pytest.mark.parametrize("key, raw", [
     ("trials", "abc"), ("snr_grid_db", "1,x"), ("p_min", "high"),
-    ("max_blind_iterations", "3.5"), ("omega_grid", "1.0, ,two"),
+    ("mols_subset", "3.5"), ("omega_grid", "1.0, ,two"),
 ])
 def test_config_values_that_are_not_numbers_name_their_key(key, raw):
     with pytest.raises(ConfigError, match=f"{key}.*{raw}"):

@@ -122,7 +122,7 @@ def tiny_config(**kw):
     base = dict(
         family="hybrid", m=64, n=128, k=3, snr_grid_db=(30.0, 50.0),
         algorithms=("bols", "bomp", "ols", "omp", "cosamp", "mols"),
-        trials=3, base_seed=23, p_min=0.15, cosamp_max_iterations=10,
+        trials=3, base_seed=23, p_min=0.15,
     )
     base.update(kw)
     return ExperimentConfig(**base).validate()
