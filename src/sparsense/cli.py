@@ -140,16 +140,20 @@ def _cmd_recover(args) -> int:
     if args.alg not in BLIND:
         if args.k is None:
             raise ConfigError(f"--alg {args.alg} requires --k")
-    elif args.omega_star is not None:
-        blind = BlindStopParams(
-            omega_star=args.omega_star, mu=mat.coherence, max_iterations=args.max_iterations
-        )
-        extra = {"omega_star": args.omega_star, "mu": mat.coherence}
     else:
-        blind, meta = blind_params_for(config, mat.coherence)
-        blind = replace(blind, max_iterations=args.max_iterations)
-        extra = {key: meta[key] for key in ("omega", "omega_star", "mu")}
-        extra.update(p_min=args.pmin, rho=args.rho)
+        # --mu spares the O(MN^2) coherence; BlindStopParams checks it, and
+        # the inversion checks it as invert-omega does
+        mu = mat.coherence if args.mu is None else args.mu
+        if args.omega_star is not None:
+            blind = BlindStopParams(
+                omega_star=args.omega_star, mu=mu, max_iterations=args.max_iterations
+            )
+            extra = {"omega_star": args.omega_star, "mu": mu}
+        else:
+            blind, meta = blind_params_for(config, mu)
+            blind = replace(blind, max_iterations=args.max_iterations)
+            extra = {key: meta[key] for key in ("omega", "omega_star", "mu")}
+            extra.update(p_min=args.pmin, rho=args.rho)
     result = _run_algorithm(args.alg, mat, y, config, blind, {})
 
     payload = {
@@ -355,6 +359,9 @@ def _cmd_experiment(args) -> int:
     if args.figure == "custom":
         if not args.config or not args.section:
             raise ConfigError("--figure custom requires --config and --section")
+        if args.scale is not None:
+            raise ConfigError("--scale goes with a preset figure; "
+                              "--figure custom runs its section as written")
         sweeps = [(args.section, load_config(args.config, args.section))]
     elif args.config or args.section:
         raise ConfigError(f"--config and --section go with --figure custom; "
@@ -452,6 +459,8 @@ def build_parser() -> _Parser:
     r.add_argument("--rho", type=float, default=0.175)
     r.add_argument("--omega-star", type=float, default=None,
                    help="bypass the probability inversion with an explicit threshold scale")
+    r.add_argument("--mu", type=float, default=None,
+                   help="coherence of the matrix, if known, instead of computing it")
     r.add_argument("--max-iterations", type=int, default=None)
     r.add_argument("--mols-subset", type=int, default=2)
     r.add_argument("--seed", type=int, default=None)
@@ -483,7 +492,7 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("experiment", help="run a figure preset or custom sweep")
     e.add_argument("--figure", choices=(*FIGURES, "custom"), required=True)
-    e.add_argument("--scale", choices=SCALES, default="desk")
+    e.add_argument("--scale", choices=SCALES, default=None, help="preset scale (default desk)")
     e.add_argument("--config", default=None, help="key = value config file with [sections]")
     e.add_argument("--section", default=None, help="section name for --figure custom")
     e.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

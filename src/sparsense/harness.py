@@ -3,11 +3,13 @@
 A sweep fixes one measurement matrix, calibrates per-trial noise to each SNR
 grid point, runs every configured algorithm on identical (x, noise) pairs,
 and aggregates recovery probability, MSE and mean iteration counts per
-(grid point, algorithm). The unit of work is one trial at one SNR: its x and
-y are synthesized once, each greedy selection rule runs once on it, and
-every configured algorithm (at every omega, on omega sweeps) reads its
-result from that run. Trials are independent work items; aggregation is
-keyed by trial index so results are identical for any worker count.
+(grid point, algorithm). The unit of work is one trial across the whole
+grid: at each SNR its x and y are synthesized once, each greedy selection
+rule runs once on it, and every configured algorithm (at every omega, on
+omega sweeps) reads its result from that run. All its paths share one step
+cache, since x and the noise direction are the same at every SNR. Trials
+are independent work items; aggregation is keyed by trial index so results
+are identical for any worker count.
 """
 
 import json
@@ -37,16 +39,16 @@ from .streams import TAG_NOISE, TAG_SPECTRUM, stream
 CSV_HEADER = "grid,algorithm,prob_recovery,mse,mean_iterations,trials"
 
 # Every algorithm the sweeps and ``recover`` run: name -> (rule of the greedy
-# path it cuts, or None; runner(d, y, config, blind, path)). Runners look the
-# recovery functions up in this module at call time, so patching them here
-# reaches every call.
+# path it cuts, or None; runner(d, y, config, blind, path, steps)), where
+# ``steps`` is the trial's step cache. Runners look the recovery functions up
+# in this module at call time, so patching them here reaches every call.
 REGISTRY = {
-    "omp": ("omp", lambda d, y, c, blind, path: run_omp_known_k(d, y, c.k, path=path)),
-    "bomp": ("omp", lambda d, y, c, blind, path: run_bomp(d, y, blind, path=path)),
-    "ols": ("ols", lambda d, y, c, blind, path: run_ols_known_k(d, y, c.k, path=path)),
-    "bols": ("ols", lambda d, y, c, blind, path: run_bols(d, y, blind, path=path)),
-    "cosamp": (None, lambda d, y, c, blind, path: run_cosamp(d, y, c.k)),
-    "mols": (None, lambda d, y, c, blind, path: run_mols(d, y, c.k, c.mols_subset)),
+    "omp": ("omp", lambda d, y, c, blind, path, steps: run_omp_known_k(d, y, c.k, path=path)),
+    "bomp": ("omp", lambda d, y, c, blind, path, steps: run_bomp(d, y, blind, path=path)),
+    "ols": ("ols", lambda d, y, c, blind, path, steps: run_ols_known_k(d, y, c.k, path=path)),
+    "bols": ("ols", lambda d, y, c, blind, path, steps: run_bols(d, y, blind, path=path)),
+    "cosamp": (None, lambda d, y, c, blind, path, steps: run_cosamp(d, y, c.k)),
+    "mols": (None, lambda d, y, c, blind, path, steps: run_mols(d, y, c.k, c.mols_subset, steps)),
 }
 ALGORITHMS = tuple(REGISTRY)
 BLIND = ("bomp", "bols")  # stop on the blind statistic, so they need BlindStopParams
@@ -137,8 +139,8 @@ class TrialOutcome:
 
 def gen_sparse_spectrum(n: int, k: int, mean: float, var: float, rng) -> SparseSpectrum:
     """K-sparse vector: uniform random support, nonzeros i.i.d. N(mean, var)."""
-    if k > n:
-        raise InvalidParams(f"k={k} exceeds n={n}")
+    if not 0 <= k <= n:
+        raise InvalidParams(f"k={k} must be in [0, n={n}]")
     if var < 0:
         raise InvalidParams(f"variance must be >= 0, got {var}")
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
@@ -188,18 +190,19 @@ def min_component_snr(d, x, sigma: float) -> float:
 
 def _run_algorithm(
     alg: str, d: MeasurementMatrix, y: np.ndarray, config: ExperimentConfig,
-    blind: BlindStopParams | None, paths: dict[str, GreedyPath],
+    blind: BlindStopParams | None, paths: dict[str, GreedyPath], steps: dict | None = None,
 ) -> RecoveryResult:
     """One algorithm on y; the greedy ones cut the trial's path of their rule,
-    which ``paths`` holds once any algorithm has asked for it."""
+    which ``paths`` holds once any algorithm has asked for it. Every path,
+    MOLS's included, shares the step cache ``steps``."""
     if alg in BLIND and blind is None:
         raise InvalidParams(f"algorithm {alg} needs blind stopping parameters")
     if alg not in REGISTRY:
         raise InvalidParams(f"unknown algorithm {alg!r}")
     rule, runner = REGISTRY[alg]
     if rule is not None and rule not in paths:
-        paths[rule] = GreedyPath(d, y, rule)
-    return runner(d, y, config, blind, paths.get(rule))
+        paths[rule] = GreedyPath(d, y, rule, steps)
+    return runner(d, y, config, blind, paths.get(rule), steps)
 
 
 def _synthesize(
@@ -226,6 +229,7 @@ def _trial_outcomes(
     trial_index: int,
     snr_db: float,
     runs: list[tuple[float, str, BlindStopParams | None]],
+    steps: dict | None = None,
 ) -> list[TrialOutcome]:
     """Outcomes of one trial for each (grid value, algorithm, blind parameters).
 
@@ -238,7 +242,7 @@ def _trial_outcomes(
     outcomes = []
     for grid_value, alg, blind in runs:
         try:
-            result = _run_algorithm(alg, d, y, config, blind, paths)
+            result = _run_algorithm(alg, d, y, config, blind, paths, steps)
             stop_reason = result.stop_reason.value
             x_hat = result.x_hat
             iterations = result.iterations
@@ -320,19 +324,21 @@ def blind_params_for(config: ExperimentConfig, mu: float) -> tuple[BlindStopPara
 def _collect(
     d: MeasurementMatrix,
     config: ExperimentConfig,
-    snr_db: float,
-    runs: list[tuple[float, str, BlindStopParams | None]],
+    points: list[tuple[float, list[tuple[float, str, BlindStopParams | None]]]],
     threads: int,
 ) -> list[TrialOutcome]:
-    """Every trial's outcomes for the runs at one SNR, in trial-index order.
+    """Every trial's outcomes at each (SNR, runs) point, in trial-index order;
+    a trial runs every point with one step cache, dropped when it ends.
 
-    ``threads`` above 1 maps trials over a thread pool. On small matrices the
-    pool is slower than serial: the interpreter lock is held between the many
-    small BLAS calls of a trial.
+    ``threads`` above 1 maps trials over a thread pool, one trial per task.
+    On small matrices the pool is slower than serial: the interpreter lock is
+    held between the many small BLAS calls of a trial.
     """
 
     def one_trial(t):
-        return _trial_outcomes(d, config, t, snr_db, runs)
+        steps: dict = {}
+        return [o for snr_db, runs in points
+                for o in _trial_outcomes(d, config, t, snr_db, runs, steps)]
 
     if threads <= 1:
         chunks = [one_trial(t) for t in range(config.trials)]
@@ -377,10 +383,9 @@ def sweep_snr(
     if any(a in BLIND for a in config.algorithms):
         blind, blind_meta = blind_params_for(config, d.coherence)
         meta.update(blind_meta)
-    outcomes = []
-    for snr_db in config.snr_grid_db:
-        runs = [(snr_db, alg, blind) for alg in config.algorithms]
-        outcomes.extend(_collect(d, config, snr_db, runs, threads))
+    points = [(snr_db, [(snr_db, alg, blind) for alg in config.algorithms])
+              for snr_db in config.snr_grid_db]
+    outcomes = _collect(d, config, points, threads)
     return aggregate(outcomes, config.trials), outcomes, meta
 
 
@@ -406,7 +411,7 @@ def sweep_omega(
         blind = BlindStopParams(omega_star=omega, mu=mu)
         for alg in config.algorithms:
             runs.append((omega, alg, blind if alg in BLIND else None))
-    outcomes = _collect(d, config, snr_db, runs, threads)
+    outcomes = _collect(d, config, [(snr_db, runs)], threads)
     return aggregate(outcomes, config.trials), outcomes, meta
 
 

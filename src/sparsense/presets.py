@@ -98,8 +98,10 @@ FIGURES = {
 }
 
 
-def figure_preset(figure: str, scale: str):
-    """The sweeps of a named figure at a scale, as ``FIGURES`` builds them."""
+def figure_preset(figure: str, scale: str | None = None):
+    """The sweeps of a named figure at a scale (None: desk), as ``FIGURES``
+    builds them."""
+    scale = "desk" if scale is None else scale
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}; use one of {SCALES}")
     if figure not in FIGURES:

@@ -25,6 +25,10 @@ norms and the correlations ``c = E^T r`` from it: ``c -= g (q . r)``. The
 update loses relative accuracy as ||r|| shrinks, so c is recomputed exactly
 whenever ||r|| falls below ``CORR_REFRESH_REL`` times its value at the last
 exact product.
+
+q and g depend on the ordered picks, not on y, so paths of several y (one
+trial at each SNR) can share them through a step cache ``steps``: a dict
+from the pick tuple to ``(q, g)``, or None for a rank-deficient pick.
 """
 
 import math
@@ -114,14 +118,14 @@ class GreedyPath:
     only on (d, y, rule), so every stop rule is a cut of one path and the
     algorithms sharing a selection rule can share the path of one y.
 
-    The current step is held as an orthonormal ``basis`` of the picked
-    columns, ``proj_sq[j] = ||P_S d_j||^2``, the residual ``r`` and the
-    correlations ``c = E^T r``. The least-squares fit of y on the first i
-    picks is memoized per prefix length i, so cuts stopping at one step
-    share one solve.
+    The current step is held as the orthonormal vectors ``qs`` spanning the
+    picked columns, ``proj_sq[j] = ||P_S d_j||^2``, the residual ``r`` and
+    the correlations ``c = E^T r``; each pick reads and fills ``steps``. The
+    least-squares fit of y on the first i picks is memoized per prefix
+    length i, so cuts stopping at one step share one solve.
     """
 
-    def __init__(self, d, y, rule: str):
+    def __init__(self, d, y, rule: str, steps: dict | None = None):
         if rule not in _RULES:
             raise InvalidParams(f"unknown selection rule {rule!r}; known: {_RULES}")
         e = _entries(d)
@@ -130,7 +134,8 @@ class GreedyPath:
         if y.shape != (m,):
             raise InvalidParams(f"y has shape {y.shape}, expected ({m},)")
         self.e, self.y, self.rule = e, y, rule
-        self.basis = np.zeros((m, 0))
+        self.qs: list[np.ndarray] = []
+        self._steps = {} if steps is None else steps
         self.proj_sq = np.zeros(n)
         self._picked = np.zeros(n, dtype=bool)
         self.r = y.copy()
@@ -162,17 +167,24 @@ class GreedyPath:
         return np.where(eligible, corr, -1.0)
 
     def add(self, j: int) -> None:
-        """Pick column j: Gram-Schmidt with one re-orthogonalization pass, then
-        one ``g = E^T q`` updates the projected norms and the correlations."""
-        col = self.e[:, j]
-        v = col - self.basis @ (self.basis.T @ col)
-        v -= self.basis @ (self.basis.T @ v)
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-10:
+        """Pick column j: Gram-Schmidt with one re-orthogonalization pass, unless
+        the step cache has this pick, then one ``g = E^T q`` updates the
+        projected norms and the correlations."""
+        key = (*self.picks, j)
+        if key not in self._steps:
+            col = self.e[:, j]
+            basis = np.column_stack([np.zeros((len(col), 0)), *self.qs])
+            v = col - basis @ (basis.T @ col)
+            v -= basis @ (basis.T @ v)
+            nv = float(np.linalg.norm(v))
+            self._steps[key] = None
+            if nv > 1e-10:
+                q = v / nv
+                self._steps[key] = (q, q @ self.e)
+        if self._steps[key] is None:
             raise RankDeficient(f"column {j} is numerically inside the selected span")
-        q = v / nv
-        self.basis = np.column_stack([self.basis, q])
-        g = q @ self.e
+        q, g = self._steps[key]
+        self.qs.append(q)
         self.proj_sq += g ** 2
         qr = q @ self.r
         self.r -= q * qr
@@ -379,18 +391,19 @@ def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
     return RecoveryResult(x, support.tolist(), len(history) - 1, history, reason)
 
 
-def run_mols(d, y, k: int, subset_size: int) -> RecoveryResult:
+def run_mols(d, y, k: int, subset_size: int, steps: dict | None = None) -> RecoveryResult:
     """Multiple-selection OLS: the subset_size best candidates per iteration.
 
     Candidates are ranked one-at-a-time against the current support by the
     OLS criterion. Selection stops once k atoms are collected; the final
     least-squares estimate is pruned to the k largest coefficients.
+    ``steps`` is the step cache of ``GreedyPath``.
     """
     if k < 0:
         raise InvalidParams(f"k must be >= 0, got {k}")
     if subset_size < 1:
         raise InvalidParams(f"subset_size must be >= 1, got {subset_size}")
-    path = GreedyPath(d, y, "ols")
+    path = GreedyPath(d, y, "ols", steps)
     m, n = path.e.shape
     if subset_size * math.ceil(k / subset_size) > m:
         raise InvalidParams(

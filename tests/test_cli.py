@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from sparsense.presets import SCALES
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -508,6 +512,76 @@ def test_recover_nan_or_minus_infinite_snr_is_domain_error(matrix_file, snr):
                    f"--snr={snr}")
     assert proc.returncode == 2
     assert one_error_line(proc) and "snr_db" in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_recover_negative_k_true_is_domain_error(matrix_file):
+    path, _ = matrix_file
+    proc = run_cli("recover", "--matrix", str(path), "--alg", "bols", "--k-true", "-1",
+                   "--snr", "20")
+    assert proc.returncode == 2
+    assert one_error_line(proc) and "k=-1" in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_experiment_custom_with_scale_is_usage_error(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[s]\ntrials = 1\nsnr_grid_db = 20\n")
+    out = tmp_path / "out"
+    custom = ("experiment", "--figure", "custom", "--config", str(cfg), "--section", "s",
+              "--out", str(out))
+    for scale in SCALES:
+        proc = run_cli(*custom, "--scale", scale)
+        assert proc.returncode == 1, proc.stderr
+        assert one_error_line(proc) and "--scale" in proc.stderr, proc.stderr
+        assert proc.stdout == "" and not out.exists()
+    proc = run_cli(*custom)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "s.csv").exists()
+
+
+def recover_stdout(*args):
+    from sparsense import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["recover", *args])
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("args", [
+    ("--alg", "bols"),
+    ("--alg", "bols", "--omega-star", "1.2"),
+    ("--alg", "bomp", "--pmin", "0.9"),
+    ("--alg", "ols", "--k", "6"),
+], ids=["bols", "bols-omega-star", "bomp", "ols"])
+def test_recover_mu_gives_the_same_result_without_computing_coherence(
+        feasible_matrix_file, monkeypatch, args):
+    from sparsense import matgen
+
+    path, info = feasible_matrix_file
+    common = ("--matrix", str(path), "--k-true", "6", "--snr", "30", "--seed", "5", *args)
+    code, plain = recover_stdout(*common)
+    assert code == 0
+
+    def refuse(entries):
+        raise AssertionError("coherence computed although --mu was given")
+
+    monkeypatch.setattr(matgen, "_coherence_of", refuse)
+    code, given = recover_stdout(*common, "--mu", repr(info["coherence"]))
+    assert code == 0
+    assert given == plain
+
+
+@pytest.mark.parametrize("mu", ["0", "-0.1", "1.5", "nan", "inf"])
+@pytest.mark.parametrize("threshold", [(), ("--omega-star", "1.2")], ids=["inversion", "omega"])
+def test_recover_bad_mu_is_domain_error(matrix_file, mu, threshold):
+    path, _ = matrix_file
+    proc = run_cli("recover", "--matrix", str(path), "--alg", "bols", "--k-true", "3",
+                   "--snr", "20", *threshold, f"--mu={mu}")
+    assert proc.returncode == 2
+    assert one_error_line(proc), proc.stderr
+    assert "mu must be" in proc.stderr or "require coherence" in proc.stderr, proc.stderr
     assert proc.stdout == ""
 
 

@@ -1,5 +1,6 @@
-"""The shared greedy path: stop rules as cuts of one recorded run, and sweeps
-that synthesize each trial once and read every algorithm from its path."""
+"""The shared greedy path: stop rules as cuts of one recorded run, sweeps
+that synthesize each trial once and read every algorithm from its path, and
+the step cache that a trial's paths share across its SNR grid."""
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sparsense.recovery import (
     GreedyPath,
     run_bols,
     run_bomp,
+    run_mols,
     run_ols_known_k,
     run_omp_known_k,
 )
@@ -238,6 +240,131 @@ def test_cuts_at_one_step_get_their_own_estimates():
     assert np.array_equal(second.x_hat, kept)
     assert np.array_equal(run_ols_known_k(d, y, 3, path=path).x_hat, kept)
     assert np.array_equal(run_ols_known_k(d, y, 3).x_hat, kept)
+
+
+# ------------------------------------------------------------------ step cache
+
+def trial_grid(family, seed, grid, duplicate=None):
+    """One trial's measurements over an SNR grid, as a sweep draws them: one
+    spectrum and one noise direction. ``duplicate=(src, dst)`` copies column
+    src over column dst and puts the spectrum's largest entry on src, so
+    MOLS meets a rank-deficient pick."""
+    gen = gen_gaussian_normalized if family == "gaussian" else gen_hybrid_normalized
+    e = np.array(gen(48, 96, seed).entries)
+    spec = gen_sparse_spectrum(96, 4, 1.0, 0.01, stream(seed, 2, 0))
+    x = spec.x
+    if duplicate is not None:
+        src, dst = duplicate
+        e[:, dst] = e[:, src]
+        x = np.where(np.arange(96) == dst, 0.0, x)
+        x[src] = 3.0
+    ys = [calibrate_noise(e, x, snr_db, stream(seed, 3, 0))[0] for snr_db in grid]
+    return e, ys
+
+
+def same_path(a, b):
+    return (
+        a.picks == b.picks
+        and a.residual_norms == b.residual_norms
+        and a.statistics == b.statistics
+        and a.r.tobytes() == b.r.tobytes()
+        and a.c.tobytes() == b.c.tobytes()
+        and all(
+            (fa is None and fb is None) or (fa is not None and fb is not None
+                                            and fa.tobytes() == fb.tobytes())
+            for fa, fb in ((a.fit(i), b.fit(i)) for i in range(len(a.picks) + 1))
+        )
+    )
+
+
+@pytest.mark.parametrize("family, seed, duplicate", [
+    ("gaussian", 9, None), ("hybrid", 9, None), ("hybrid", 1, (3, 7)),
+], ids=["gaussian", "hybrid", "hybrid-rank-deficient"])
+def test_paths_sharing_a_step_cache_equal_paths_without_one(family, seed, duplicate):
+    """Definitional check of the step cache: both rules' paths at every SNR
+    of one trial, grown one step at a time in turn, and MOLS runs between
+    the steps, all through one cache, end bit for bit where paths built
+    without a cache end."""
+    grid = (20.0, 40.0, 60.0, float("inf"))
+    e, ys = trial_grid(family, seed, grid, duplicate)
+    steps: dict = {}
+    shared = [GreedyPath(e, y, rule, steps) for y in ys for rule in ("ols", "omp")]
+    mols = {}
+    for i in range(14):
+        for path in shared:
+            path.grow(i)
+        if i in (0, 3):
+            for subset in (2, 3):
+                for y in ys[::-1]:
+                    mols[i, subset, y.tobytes()] = run_mols(e, y, 6, subset, steps)
+    for path in shared:
+        fresh = GreedyPath(e, path.y, path.rule)
+        fresh.grow(13)
+        assert same_path(path, fresh)
+    for (_, subset, key), got in mols.items():
+        want = run_mols(e, np.frombuffer(key), 6, subset)
+        assert (got.support, got.iterations, got.residual_norm_history, got.stop_reason) == (
+            want.support, want.iterations, want.residual_norm_history, want.stop_reason)
+        assert got.x_hat.tobytes() == want.x_hat.tobytes()
+    assert len(steps) < sum(len(p.picks) for p in shared)  # the paths did share steps
+    # a strided q (a column view of the basis) gives other bits of q @ r than
+    # the contiguous q that unshared paths made before the cache existed
+    assert all(step[0].flags.c_contiguous for step in steps.values() if step is not None)
+    if duplicate is not None:
+        src, dst = duplicate
+        assert steps[src, dst] is None  # MOLS tried the copy right after its source
+        for path in (GreedyPath(e, ys[0], "ols", steps), GreedyPath(e, ys[0], "ols")):
+            path.add(src)
+            with pytest.raises(RankDeficient):
+                path.add(dst)
+            assert path.picks == [src]
+
+
+class CountingEntries(np.ndarray):
+    """Matrix entries that count the products ``q @ E`` of a vector with the
+    whole matrix, the ``E^T q`` of a greedy step; other products pass."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and np.ndim(inputs[0]) == 1 and inputs[1] is self \
+                and self.ndim == 2 and self.shape[0] < self.shape[1]:
+            CountingEntries.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountingEntries) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_each_pick_prefix_is_orthogonalized_once_per_trial(monkeypatch):
+    import sparsense.harness as harness
+
+    cfg = tiny_config(snr_grid_db=(30.0, 40.0, 50.0, 60.0, float("inf")))
+    _, plain, _ = sweep_snr(cfg, threads=1)
+
+    def counted_matrix(config):
+        d = build_matrix(config)
+        object.__setattr__(d, "entries", d.entries.view(CountingEntries))
+        return d
+
+    trial = [None]
+    synthesize, add = harness._synthesize, GreedyPath.add
+
+    def synthesizing(d, config, trial_index, snr_db):
+        trial[0] = trial_index
+        return synthesize(d, config, trial_index, snr_db)
+
+    prefixes = []
+
+    def adding(self, j):
+        add(self, j)
+        prefixes.append((trial[0], tuple(self.picks)))
+
+    monkeypatch.setattr(harness, "build_matrix", counted_matrix)
+    monkeypatch.setattr(harness, "_synthesize", synthesizing)
+    monkeypatch.setattr(GreedyPath, "add", adding)
+    CountingEntries.products = 0
+    _, outcomes, _ = sweep_snr(cfg, threads=1)
+    assert by_key(outcomes) == by_key(plain)
+    assert CountingEntries.products == len(set(prefixes)) < len(prefixes)
 
 
 # ------------------------------------------------------------ loop reference

@@ -28,6 +28,11 @@ def test_paper_scale_gaussian_figures_are_full_size(figure):
     assert (config.m, config.n, config.trials) == (1024, 2048, 1000)
 
 
+@pytest.mark.parametrize("figure", FIGURES)
+def test_no_scale_means_desk(figure):
+    assert figure_preset(figure, None) == figure_preset(figure) == figure_preset(figure, "desk")
+
+
 def test_unknown_figure_or_scale_is_a_config_error():
     with pytest.raises(ConfigError, match="figure"):
         figure_preset("fig6", "desk")
