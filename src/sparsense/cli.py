@@ -140,20 +140,16 @@ def _cmd_recover(args) -> int:
     if args.alg not in BLIND:
         if args.k is None:
             raise ConfigError(f"--alg {args.alg} requires --k")
+    elif args.omega_star is not None:
+        blind = BlindStopParams(
+            omega_star=args.omega_star, mu=mat.coherence, max_iterations=args.max_iterations
+        )
+        extra = {"omega_star": args.omega_star, "mu": mat.coherence}
     else:
-        # --mu spares the O(MN^2) coherence; BlindStopParams checks it, and
-        # the inversion checks it as invert-omega does
-        mu = mat.coherence if args.mu is None else args.mu
-        if args.omega_star is not None:
-            blind = BlindStopParams(
-                omega_star=args.omega_star, mu=mu, max_iterations=args.max_iterations
-            )
-            extra = {"omega_star": args.omega_star, "mu": mu}
-        else:
-            blind, meta = blind_params_for(config, mu)
-            blind = replace(blind, max_iterations=args.max_iterations)
-            extra = {key: meta[key] for key in ("omega", "omega_star", "mu")}
-            extra.update(p_min=args.pmin, rho=args.rho)
+        blind, meta = blind_params_for(config, mat.coherence)
+        blind = replace(blind, max_iterations=args.max_iterations)
+        extra = {key: meta[key] for key in ("omega", "omega_star", "mu")}
+        extra.update(p_min=args.pmin, rho=args.rho)
     result = _run_algorithm(args.alg, mat, y, config, blind, {})
 
     payload = {
@@ -459,8 +455,6 @@ def build_parser() -> _Parser:
     r.add_argument("--rho", type=float, default=0.175)
     r.add_argument("--omega-star", type=float, default=None,
                    help="bypass the probability inversion with an explicit threshold scale")
-    r.add_argument("--mu", type=float, default=None,
-                   help="coherence of the matrix, if known, instead of computing it")
     r.add_argument("--max-iterations", type=int, default=None)
     r.add_argument("--mols-subset", type=int, default=2)
     r.add_argument("--seed", type=int, default=None)

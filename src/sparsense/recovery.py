@@ -180,7 +180,10 @@ class GreedyPath:
             self._steps[key] = None
             if nv > 1e-10:
                 q = v / nv
-                self._steps[key] = (q, q @ self.e)
+                g = q @ self.e
+                # every path of the trial reads these: an in-place write raises
+                q.flags.writeable = g.flags.writeable = False
+                self._steps[key] = (q, g)
         if self._steps[key] is None:
             raise RankDeficient(f"column {j} is numerically inside the selected span")
         q, g = self._steps[key]

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import subprocess
 import sys
@@ -538,51 +536,6 @@ def test_experiment_custom_with_scale_is_usage_error(tmp_path):
     proc = run_cli(*custom)
     assert proc.returncode == 0, proc.stderr
     assert (out / "s.csv").exists()
-
-
-def recover_stdout(*args):
-    from sparsense import cli
-
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(["recover", *args])
-    return code, buf.getvalue()
-
-
-@pytest.mark.parametrize("args", [
-    ("--alg", "bols"),
-    ("--alg", "bols", "--omega-star", "1.2"),
-    ("--alg", "bomp", "--pmin", "0.9"),
-    ("--alg", "ols", "--k", "6"),
-], ids=["bols", "bols-omega-star", "bomp", "ols"])
-def test_recover_mu_gives_the_same_result_without_computing_coherence(
-        feasible_matrix_file, monkeypatch, args):
-    from sparsense import matgen
-
-    path, info = feasible_matrix_file
-    common = ("--matrix", str(path), "--k-true", "6", "--snr", "30", "--seed", "5", *args)
-    code, plain = recover_stdout(*common)
-    assert code == 0
-
-    def refuse(entries):
-        raise AssertionError("coherence computed although --mu was given")
-
-    monkeypatch.setattr(matgen, "_coherence_of", refuse)
-    code, given = recover_stdout(*common, "--mu", repr(info["coherence"]))
-    assert code == 0
-    assert given == plain
-
-
-@pytest.mark.parametrize("mu", ["0", "-0.1", "1.5", "nan", "inf"])
-@pytest.mark.parametrize("threshold", [(), ("--omega-star", "1.2")], ids=["inversion", "omega"])
-def test_recover_bad_mu_is_domain_error(matrix_file, mu, threshold):
-    path, _ = matrix_file
-    proc = run_cli("recover", "--matrix", str(path), "--alg", "bols", "--k-true", "3",
-                   "--snr", "20", *threshold, f"--mu={mu}")
-    assert proc.returncode == 2
-    assert one_error_line(proc), proc.stderr
-    assert "mu must be" in proc.stderr or "require coherence" in proc.stderr, proc.stderr
-    assert proc.stdout == ""
 
 
 def test_experiment_config_file_value_that_is_not_a_number_names_its_key(tmp_path):

@@ -310,6 +310,11 @@ def test_paths_sharing_a_step_cache_equal_paths_without_one(family, seed, duplic
     # a strided q (a column view of the basis) gives other bits of q @ r than
     # the contiguous q that unshared paths made before the cache existed
     assert all(step[0].flags.c_contiguous for step in steps.values() if step is not None)
+    # every path of the trial reads the cached q and g, so none may be written in place
+    cached = [a for step in steps.values() if step is not None for a in step]
+    assert not any(a.flags.writeable for a in cached)
+    with pytest.raises(ValueError):
+        cached[0] *= 2.0
     if duplicate is not None:
         src, dst = duplicate
         assert steps[src, dst] is None  # MOLS tried the copy right after its source
