@@ -121,10 +121,15 @@ def _read_vector(path, m: int) -> np.ndarray:
 
 
 def _cmd_recover(args) -> int:
+    given = [f"--{key.replace('_', '-')}" for key in ("omega_star", "pmin", "rho", "max_iterations")
+             if getattr(args, key) is not None]
+    if given and args.alg not in BLIND:
+        raise ConfigError(f"{', '.join(given)} only apply to a blind --alg ({', '.join(BLIND)})")
     mat = load_matrix(args.matrix)
+    tuning = {key: val for key, val in (("p_min", args.pmin), ("rho", args.rho)) if val is not None}
     config = ExperimentConfig(
         m=mat.m, n=mat.n, k=0 if args.k is None else args.k, algorithms=(args.alg,),
-        base_seed=_seed(args.seed), p_min=args.pmin, rho=args.rho, mols_subset=args.mols_subset,
+        base_seed=_seed(args.seed), mols_subset=args.mols_subset, **tuning,
     )
     truth = None
     if args.y:
@@ -149,7 +154,7 @@ def _cmd_recover(args) -> int:
         blind, meta = blind_params_for(config, mat.coherence)
         blind = replace(blind, max_iterations=args.max_iterations)
         extra = {key: meta[key] for key in ("omega", "omega_star", "mu")}
-        extra.update(p_min=args.pmin, rho=args.rho)
+        extra.update(p_min=config.p_min, rho=config.rho)
     result = _run_algorithm(args.alg, mat, y, config, blind, {})
 
     payload = {
@@ -451,8 +456,8 @@ def build_parser() -> _Parser:
     r.add_argument("--k", type=int, default=None, help="sparsity for known-K algorithms")
     r.add_argument("--k-true", type=int, default=None, help="sparsity of a synthesized instance")
     r.add_argument("--snr", type=float, default=None, help="SNR (dB) of a synthesized instance")
-    r.add_argument("--pmin", type=float, default=0.95)
-    r.add_argument("--rho", type=float, default=0.175)
+    r.add_argument("--pmin", type=float, default=None, help="blind --alg only (default 0.95)")
+    r.add_argument("--rho", type=float, default=None, help="blind --alg only (default 0.175)")
     r.add_argument("--omega-star", type=float, default=None,
                    help="bypass the probability inversion with an explicit threshold scale")
     r.add_argument("--max-iterations", type=int, default=None)

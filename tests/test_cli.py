@@ -126,8 +126,9 @@ def test_recover_matches_direct_runner_calls_for_every_algorithm(matrix_file, tm
         "mols": run_mols(mat, y, 3, 2),
     }
     for alg, expect in direct.items():
+        tuning = ("--pmin", "0.15", "--rho", "0.175") if alg in ("bols", "bomp") else ()
         proc = run_cli("recover", "--matrix", str(path), "--alg", alg, "--k", "3",
-                       "--pmin", "0.15", "--rho", "0.175", "--y", str(y_path))
+                       *tuning, "--y", str(y_path))
         assert proc.returncode == 0, (alg, proc.stderr)
         out = json.loads(proc.stdout)
         assert out["support"] == expect.support, alg
@@ -210,6 +211,28 @@ def test_recover_known_k_algorithm_without_k_is_usage_error(matrix_file, alg):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "requires --k" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("alg, flags", [
+    ("ols", ("--omega-star", "1.2")), ("omp", ("--pmin", "0.95")), ("cosamp", ("--rho", "0.175")),
+    ("mols", ("--max-iterations", "3")), ("ols", ("--omega-star", "7", "--pmin", "3")),
+])
+def test_recover_known_k_algorithm_refuses_blind_only_flags(matrix_file, alg, flags):
+    path, _ = matrix_file
+    proc = run_cli("recover", "--matrix", str(path), "--alg", alg, "--k", "4",
+                   "--k-true", "4", "--snr", "30", *flags)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(flag in lines[0] for flag in flags[::2])
+
+
+def test_recover_blind_run_reports_the_default_pmin_and_rho(feasible_matrix_file):
+    path, _ = feasible_matrix_file
+    default = recover_json(path)
+    assert (default["p_min"], default["rho"]) == (0.95, 0.175)
+    assert recover_json(path, "--pmin", "0.95", "--rho", "0.175") == default
 
 
 def test_recover_bad_y_file_is_domain_error(matrix_file, tmp_path):

@@ -2,7 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsense import matgen
 from sparsense.errors import MatrixFormatError
 from sparsense.matgen import (
     _COH_BLOCK,
@@ -131,6 +134,126 @@ def test_coherence_upper_triangle_equals_full_gram(m, n):
     np.fill_diagonal(gram, 0.0)
     assert np.unravel_index(np.argmax(gram), gram.shape) in ((i, j), (j, i))
     assert mat.coherence == pytest.approx(float(gram.max()), abs=1e-13)
+
+
+def block_scan_max(entries):
+    """The plain float64 block scan, unclamped: each 256-column block times
+    the columns from its own start, largest off-diagonal |G|."""
+    n = entries.shape[1]
+    best = 0.0
+    for start in range(0, n, 256):
+        end = min(start + 256, n)
+        gram = entries[:, start:end].T @ entries[:, start:]
+        idx = np.arange(end - start)
+        gram[idx, idx] = 0.0
+        best = max(best, float(np.abs(gram).max()))
+    return best
+
+
+def assert_coherence_is_the_block_scan(e):
+    mat = MeasurementMatrix(e)
+    assert mat.coherence == min(block_scan_max(mat.entries), 1.0)
+    return mat.coherence
+
+
+GENERATORS = {"gaussian": gen_gaussian_normalized, "hybrid": gen_hybrid_normalized}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+@pytest.mark.parametrize("m,n", [
+    (3, 40), (16, 255), (16, 257), (64, 300), (24, 3 * 256 - 5), (200, 333),
+    (256, 512), (100, 1100),
+])
+def test_coherence_is_bit_identical_to_the_float64_block_scan(family, m, n):
+    assert_coherence_is_the_block_scan(GENERATORS[family](m, n, seed=m + n).entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(GENERATORS)),
+    shape=st.integers(1, 700).flatmap(lambda n: st.tuples(st.integers(1, min(n, 48)), st.just(n))),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_coherence_bit_identity_property(family, shape, seed):
+    m, n = shape
+    assert_coherence_is_the_block_scan(GENERATORS[family](m, n, seed).entries)
+
+
+def test_coherence_of_a_single_row_is_one():
+    assert assert_coherence_is_the_block_scan(gen_gaussian_normalized(1, 300, seed=4).entries) == 1.0
+    signs = np.where(np.arange(600) % 3 == 0, -1.0, 1.0)[None, :]
+    assert assert_coherence_is_the_block_scan(signs) == 1.0
+
+
+def test_coherence_of_a_duplicated_column_clamps_at_one():
+    e = gen_gaussian_normalized(16, 300, seed=6).entries
+    for j in range(299):
+        dup = e.copy()
+        dup[:, 299] = dup[:, j]
+        if block_scan_max(dup) > 1.0:  # the product rounds past Cauchy-Schwarz
+            break
+    else:
+        pytest.fail("no duplicated column rounds past 1")
+    assert assert_coherence_is_the_block_scan(dup) == 1.0
+
+
+def test_coherence_when_the_largest_gram_entry_is_negative():
+    e = gen_gaussian_normalized(32, 300, seed=8).entries.copy()
+    e[:, 280] = -(e[:, 5] + 0.05 * e[:, 280])
+    e[:, 280] /= np.linalg.norm(e[:, 280])
+    gram = e.T @ e
+    np.fill_diagonal(gram, 0.0)
+    assert gram.flat[np.argmax(np.abs(gram))] < -0.99
+    assert assert_coherence_is_the_block_scan(e) > 0.99
+
+
+def near_tie(seed, gap=1e-9):
+    """A 64x512 matrix whose two largest |G| entries are (0, 1) in block 0 and
+    (300, 301) in block 1, the second larger by ``gap``."""
+    e = gen_gaussian_normalized(64, 512, seed).entries.copy()
+    u, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((64, 4)))
+    for (i, j), (a, b), c in (((0, 1), (0, 1), 0.97), ((300, 301), (2, 3), 0.97 + gap)):
+        e[:, i] = u[:, a]
+        e[:, j] = c * u[:, a] + np.sqrt(1.0 - c * c) * u[:, b]
+    return e
+
+
+def block_maxima(monkeypatch, e):
+    """(dtype, value) of every Gram block the coherence scan reduces, in order."""
+    seen = []
+    reduce = matgen._off_diagonal_max
+
+    def recorded(gram):
+        seen.append((gram.dtype, reduce(gram)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(matgen, "_off_diagonal_max", recorded)
+    mu = MeasurementMatrix(e).coherence
+    monkeypatch.undo()
+    return mu, [v for t, v in seen if t == np.float32], [v for t, v in seen if t == np.float64]
+
+
+def test_coherence_near_tie_ranked_wrong_in_float32_is_resolved_in_double(monkeypatch):
+    for seed in range(40):
+        e = near_tie(seed)
+        mu, screen, exact = block_maxima(monkeypatch, e)
+        if screen[0] > screen[1]:  # float32 ranks block 0's pair above block 1's
+            break
+    else:
+        pytest.fail("float32 ranks the near tie correctly for every seed")
+    upper = (e[:, 256:512].T @ e[:, 256:])[300 - 256, 301 - 256]
+    lower = (e[:, :256].T @ e)[0, 1]
+    assert 0 < upper - lower < 2e-9
+    assert mu == upper == block_scan_max(e)
+    assert len(exact) == 2  # both blocks were scanned again in float64
+
+
+def test_coherence_screen_recomputes_fewer_than_every_block(monkeypatch):
+    e = gen_gaussian_normalized(128, 9 * 256, seed=10).entries
+    mu, screen, exact = block_maxima(monkeypatch, e)
+    assert len(screen) == 9
+    assert 1 <= len(exact) < 9
+    assert mu == min(block_scan_max(e), 1.0)
 
 
 def test_hybrid_offset_zero_matches_gaussian():
