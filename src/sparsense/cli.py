@@ -36,7 +36,6 @@ from .harness import (
 )
 from .matgen import export_csv, load_matrix, save_matrix
 from .presets import FIGURES, SCALES, BoundSweep, figure_preset
-from .recovery import BlindStopParams
 from .streams import check_seed
 from .svgplot import line_plot
 
@@ -125,6 +124,8 @@ def _cmd_recover(args) -> int:
              if getattr(args, key) is not None]
     if given and args.alg not in BLIND:
         raise ConfigError(f"{', '.join(given)} only apply to a blind --alg ({', '.join(BLIND)})")
+    if args.omega_star is not None and (args.pmin is not None or args.rho is not None):
+        raise ConfigError("--pmin and --rho set the inversion that --omega-star replaces")
     mat = load_matrix(args.matrix)
     tuning = {key: val for key, val in (("p_min", args.pmin), ("rho", args.rho)) if val is not None}
     config = ExperimentConfig(
@@ -145,16 +146,12 @@ def _cmd_recover(args) -> int:
     if args.alg not in BLIND:
         if args.k is None:
             raise ConfigError(f"--alg {args.alg} requires --k")
-    elif args.omega_star is not None:
-        blind = BlindStopParams(
-            omega_star=args.omega_star, mu=mat.coherence, max_iterations=args.max_iterations
-        )
-        extra = {"omega_star": args.omega_star, "mu": mat.coherence}
     else:
-        blind, meta = blind_params_for(config, mat.coherence)
+        blind, meta = blind_params_for(config, mat.coherence, args.omega_star)
         blind = replace(blind, max_iterations=args.max_iterations)
-        extra = {key: meta[key] for key in ("omega", "omega_star", "mu")}
-        extra.update(p_min=config.p_min, rho=config.rho)
+        extra = {key: meta[key] for key in ("omega", "omega_star", "mu") if key in meta}
+        if args.omega_star is None:
+            extra.update(p_min=config.p_min, rho=config.rho)
     result = _run_algorithm(args.alg, mat, y, config, blind, {})
 
     payload = {
@@ -255,43 +252,32 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_invert_omega(args) -> int:
     if args.matrix:
-        mu = load_matrix(args.matrix).coherence
+        if args.mu is not None:
+            raise ConfigError("pass --mu or --matrix, not both: the matrix gives mu")
+        mat = load_matrix(args.matrix)
+        if (args.m, args.n) != (mat.m, mat.n):
+            raise ConfigError(f"--m {args.m} --n {args.n} disagree with the "
+                              f"{mat.m}x{mat.n} matrix {args.matrix}")
+        mu = mat.coherence
     elif args.mu is not None:
         mu = args.mu
     else:
         raise ConfigError("one of --mu or --matrix is required")
-    params = bounds.BoundParams(
-        m=args.m, n=args.n, mu=mu, rho=args.rho, sparsity_ceiling=args.ceiling_override
-    )
-    ceiling_c = params.ceiling_c
+    config = ExperimentConfig(m=args.m, n=args.n, p_min=args.pmin, rho=args.rho)
     try:
-        omega = bounds.omega_for_probability(args.pmin, params)
+        _, meta = blind_params_for(config, mu)
     except bounds.InfeasibleTarget as exc:
         _emit({"error": "InfeasibleTarget", "probability_ceiling": exc.ceiling, "p_min": args.pmin})
         return DOMAIN_EXIT
+    ceiling_c = meta["sparsity_ceiling"]
     rho_limit = bounds.rho_tightness_limit(ceiling_c, args.m, mu)
-    omega_star = max(omega - args.rho, 0.0)  # as blind_params_for and recover use it
     if not 0.0 < args.rho < rho_limit:
         sys.stderr.write(
             f"warning: rho={args.rho} is outside the tightness interval "
             f"(0, {rho_limit:.6g}) for this matrix\n"
         )
-    _emit(
-        {
-            "mu": mu,
-            "omega": omega,
-            "omega_star": omega_star,
-            "stop_threshold": omega_star * mu,
-            "sparsity_ceiling": ceiling_c,
-            "noise_factor": bounds.noise_concentration_factor(args.m, ceiling_c),
-            "probability_ceiling": bounds.probability_ceiling(params),
-            "rho_valid_interval": [0.0, rho_limit],
-            "sparsity_ceiling_note": (
-                "omega depends on the sparsity ceiling only logarithmically; "
-                "pass --ceiling-override to use a sharper value"
-            ),
-        }
-    )
+    _emit({**meta, "noise_factor": bounds.noise_concentration_factor(args.m, ceiling_c),
+           "rho_valid_interval": [0.0, rho_limit]})
     return 0
 
 
@@ -486,7 +472,6 @@ def build_parser() -> _Parser:
     i.add_argument("--matrix", default=None)
     i.add_argument("--rho", type=float, required=True)
     i.add_argument("--pmin", type=float, required=True)
-    i.add_argument("--ceiling-override", type=float, default=None)
     i.set_defaults(fn=_cmd_invert_omega)
 
     e = sub.add_parser("experiment", help="run a figure preset or custom sweep")

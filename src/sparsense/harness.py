@@ -120,7 +120,7 @@ class MetricsRow:
     mse: float
     mean_iterations: float
     trials: int
-    prob_exact_support: float = 0.0  # JSONL/summary metric, not part of the CSV schema
+    prob_exact_support: float = 0.0  # aggregated, but not written to the CSV, JSONL or summary
 
 
 @dataclass
@@ -294,31 +294,34 @@ def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
         raise ConfigError(str(exc)) from exc
 
 
-def blind_params_for(config: ExperimentConfig, mu: float) -> tuple[BlindStopParams, dict]:
+def blind_params_for(config: ExperimentConfig, mu: float,
+                     omega_star: float | None = None) -> tuple[BlindStopParams, dict]:
     """Blind stopping parameters from the coherence and the target probability.
 
     omega solves P(omega) = p_min; omega_star = omega - rho. Returns the
-    parameters plus a metadata dict (omega, ceiling, sparsity ceiling, the
-    note that both blind algorithms share this omega, and a sensitivity note
-    for the ceiling surrogate).
+    parameters plus a metadata dict (mu, omega_star, the stop threshold and,
+    from the inversion, omega, ceiling, sparsity ceiling, the note that both
+    blind algorithms share this omega, and a sensitivity note for the ceiling
+    surrogate). An explicit ``omega_star`` skips the inversion.
     """
-    params = bounds.BoundParams(m=config.m, n=config.n, mu=mu, rho=config.rho)
-    omega = bounds.omega_for_probability(config.p_min, params)
-    omega_star = max(omega - config.rho, 0.0)
-    meta = {
-        "mu": mu,
-        "omega": omega,
-        "omega_star": omega_star,
-        "stop_threshold": omega_star * mu,
-        "probability_ceiling": bounds.probability_ceiling(params),
-        "sparsity_ceiling": params.ceiling_c,
-        "omega_shared_by_blind_algorithms": True,
-        "sparsity_ceiling_note": (
-            "omega depends on the sparsity ceiling only through its logarithm; "
-            "doubling the ceiling moves omega by under 2 percent at these sizes"
-        ),
-    }
-    return BlindStopParams(omega_star=omega_star, mu=mu), meta
+    meta: dict = {"mu": mu}
+    if omega_star is None:
+        params = bounds.BoundParams(m=config.m, n=config.n, mu=mu, rho=config.rho)
+        omega = bounds.omega_for_probability(config.p_min, params)
+        omega_star = max(omega - config.rho, 0.0)
+        meta.update({
+            "omega": omega,
+            "probability_ceiling": bounds.probability_ceiling(params),
+            "sparsity_ceiling": params.ceiling_c,
+            "omega_shared_by_blind_algorithms": True,
+            "sparsity_ceiling_note": (
+                "omega depends on the sparsity ceiling only through its logarithm; "
+                "doubling the ceiling moves omega by under 2 percent at these sizes"
+            ),
+        })
+    blind = BlindStopParams(omega_star=omega_star, mu=mu)
+    meta.update(omega_star=omega_star, stop_threshold=blind.threshold)
+    return blind, meta
 
 
 def _collect(
@@ -408,7 +411,7 @@ def sweep_omega(
     }
     runs = []
     for omega in omega_grid:
-        blind = BlindStopParams(omega_star=omega, mu=mu)
+        blind, _ = blind_params_for(config, mu, omega)
         for alg in config.algorithms:
             runs.append((omega, alg, blind if alg in BLIND else None))
     outcomes = _collect(d, config, [(snr_db, runs)], threads)

@@ -88,6 +88,10 @@ class BlindStopParams:
         if self.max_iterations is not None and self.max_iterations < 1:
             raise InvalidParams(f"max_iterations must be positive, got {self.max_iterations}")
 
+    @property
+    def threshold(self) -> float:
+        return self.omega_star * self.mu
+
     def cap(self, m: int) -> int:
         if self.max_iterations is not None:
             return self.max_iterations
@@ -309,13 +313,13 @@ def run_bols(d, y, params: BlindStopParams, path: GreedyPath | None = None) -> R
     fresh one; the same holds for the other greedy runners.
     """
     path = _path_for(d, y, "ols", path)
-    return _cut(path, params.omega_star * params.mu, cap=params.cap(path.e.shape[0]))
+    return _cut(path, params.threshold, cap=params.cap(path.e.shape[0]))
 
 
 def run_bomp(d, y, params: BlindStopParams, path: GreedyPath | None = None) -> RecoveryResult:
     """Blind matching pursuit: correlation selection, same stopping rule as run_bols."""
     path = _path_for(d, y, "omp", path)
-    return _cut(path, params.omega_star * params.mu, cap=params.cap(path.e.shape[0]))
+    return _cut(path, params.threshold, cap=params.cap(path.e.shape[0]))
 
 
 def run_ols_known_k(d, y, k: int, path: GreedyPath | None = None) -> RecoveryResult:

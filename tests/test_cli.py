@@ -228,6 +228,21 @@ def test_recover_known_k_algorithm_refuses_blind_only_flags(matrix_file, alg, fl
     assert all(flag in lines[0] for flag in flags[::2])
 
 
+@pytest.mark.parametrize("alg", ["bols", "bomp"])
+@pytest.mark.parametrize("flags", [
+    ("--pmin", "3", "--rho", "-7"), ("--pmin", "0.95"), ("--rho", "0.175"),
+], ids=["out-of-range", "pmin", "rho"])
+def test_recover_omega_star_refuses_pmin_and_rho(feasible_matrix_file, alg, flags):
+    path, _ = feasible_matrix_file
+    proc = run_cli("recover", "--matrix", str(path), "--alg", alg, "--k-true", "3",
+                   "--snr", "30", "--seed", "5", "--omega-star", "1.2", *flags)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(flag in lines[0] for flag in flags[::2])
+
+
 def test_recover_blind_run_reports_the_default_pmin_and_rho(feasible_matrix_file):
     path, _ = feasible_matrix_file
     default = recover_json(path)
@@ -295,21 +310,43 @@ def test_invert_omega_reference_values():
     assert proc.stderr == ""  # rho=0.175 is inside the tightness interval here
 
 
-@pytest.mark.parametrize("rho", ["0.175", "1.5"])
-def test_invert_omega_threshold_matches_blind_params(rho):
+@pytest.mark.parametrize("mu, rho, pmin", [
+    pytest.param("0.2", "0.175", "0.9", id="0.175"), pytest.param("0.2", "1.5", "0.9", id="1.5"),
+    pytest.param("0.5", "0.175", "0.5", id="mu0.5-pmin0.5"),
+    pytest.param("matrix", "0.175", "0.95", id="matrix"),
+])
+def test_invert_omega_threshold_matches_blind_params(feasible_matrix_file, mu, rho, pmin):
     from sparsense.harness import ExperimentConfig, blind_params_for
 
-    proc = run_cli("invert-omega", "--m", "256", "--n", "512", "--mu", "0.2",
-                   "--rho", rho, "--pmin", "0.9")
+    path, info = feasible_matrix_file
+    source = ("--matrix", str(path)) if mu == "matrix" else ("--mu", mu)
+    proc = run_cli("invert-omega", "--m", "256", "--n", "512", *source,
+                   "--rho", rho, "--pmin", pmin)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     _, meta = blind_params_for(
-        ExperimentConfig(m=256, n=512, rho=float(rho), p_min=0.9), 0.2
+        ExperimentConfig(m=256, n=512, rho=float(rho), p_min=float(pmin)),
+        info["coherence"] if mu == "matrix" else float(mu),
     )
-    assert out["omega_star"] == meta["omega_star"]
-    assert out["stop_threshold"] == meta["stop_threshold"]
+    assert {key: out[key] for key in meta} == meta  # every shared key, exactly
+    assert set(out) - set(meta) == {"noise_factor", "rho_valid_interval"}
     if rho == "1.5":  # omega is below rho here, so omega_star clamps at 0
         assert out["omega_star"] == 0.0 and out["omega"] < 1.5
+
+
+@pytest.mark.parametrize("flags", [
+    ("--mu", "0.2", "--m", "256", "--n", "512"),   # --matrix gives mu
+    ("--m", "1024", "--n", "8192"),                # the matrix is 256x512
+    ("--m", "256", "--n", "1024"),
+], ids=["mu-beside-matrix", "shape", "n"])
+def test_invert_omega_refuses_flags_that_disagree_with_the_matrix(feasible_matrix_file, flags):
+    path, _ = feasible_matrix_file
+    proc = run_cli("invert-omega", "--matrix", str(path), *flags, "--rho", "0.175",
+                   "--pmin", "0.95")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_invert_omega_warns_on_out_of_interval_rho():

@@ -10,6 +10,7 @@ from sparsense.harness import (
     CSV_HEADER,
     ExperimentConfig,
     apply_overrides,
+    blind_params_for,
     build_matrix,
     calibrate_noise,
     component_snr,
@@ -24,7 +25,7 @@ from sparsense.harness import (
     sweep_snr,
 )
 from sparsense.matgen import gen_gaussian_normalized
-from sparsense.recovery import run_ols_known_k
+from sparsense.recovery import BlindStopParams, run_ols_known_k
 from sparsense.streams import TAG_NOISE, TAG_SPECTRUM, stream
 
 
@@ -227,6 +228,27 @@ def test_sweep_omega_uses_raw_threshold():
     rows, _, meta = sweep_omega(cfg, (0.25, 2.0), threads=1)
     assert [r.grid for r in rows] == [0.25, 2.0]
     assert meta["sweep"] == "omega" and meta["snr_db"] == 25.0
+
+
+@pytest.mark.parametrize("w", [0.0, 0.8, 1.3])
+def test_blind_params_for_an_explicit_omega_star_skips_the_inversion(monkeypatch, w):
+    from sparsense import bounds
+
+    def no_inversion(*args):
+        raise AssertionError("an explicit omega_star must not invert P(omega)")
+
+    monkeypatch.setattr(bounds, "omega_for_probability", no_inversion)
+    blind, meta = blind_params_for(small_config(), 0.3, omega_star=w)
+    assert blind == BlindStopParams(w, 0.3)
+    assert blind.threshold == w * 0.3 == meta["stop_threshold"]
+    assert meta == {"mu": 0.3, "omega_star": w, "stop_threshold": w * 0.3}
+    rows, _, _ = sweep_omega(small_config(trials=2, snr_grid_db=(25.0,)), (w,), threads=1)
+    assert [r.grid for r in rows] == [w, w]
+
+
+def test_blind_params_for_refuses_a_negative_omega_star():
+    with pytest.raises(InvalidParams):
+        blind_params_for(small_config(), 0.3, omega_star=-0.1)
 
 
 def test_mse_vanishes_at_infinite_snr():
