@@ -184,9 +184,11 @@ def omega_for_probability(p_min: float, params: BoundParams) -> float:
 
     P is strictly increasing on (0, inf) (its subtracted tail term is strictly
     decreasing), so the root is unique; monotonicity is asserted while the
-    bracket is refined. Raises InfeasibleTarget when p_min is not below the
-    ceiling.
+    bracket is refined. Raises InfeasibleParams for a non-finite p_min and
+    InfeasibleTarget when p_min is not below the ceiling.
     """
+    if not math.isfinite(p_min):
+        raise InfeasibleParams(f"target probability must be finite, got {p_min}")
     ceiling = probability_ceiling(params)
     if not p_min < ceiling:
         raise InfeasibleTarget(p_min, ceiling)

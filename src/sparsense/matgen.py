@@ -20,7 +20,9 @@ import numpy as np
 from .errors import MatrixFormatError
 from .streams import TAG_COLUMN, TAG_OFFSET, check_seed, stream
 
-MAGIC = b"SPRSMAT1"
+MAGIC = b"SPRSMAT1"  # format v1: M, N, payload at byte 24; still read
+MAGIC_V2 = b"SPRSMAT2"  # format v2: M, N, coherence, payload at byte 32
+_PAYLOAD_AT = {MAGIC: 24, MAGIC_V2: 32}
 NORM_TOL = 1e-12
 _COH_BLOCK = 256  # columns per Gram block: scratch is 256 x N, plus a float32 copy
 
@@ -30,7 +32,9 @@ class MeasurementMatrix:
     """Dense M x N matrix with unit-norm columns and a lazily cached coherence.
 
     Immutable after construction: ``entries`` is marked read-only, and the
-    cached coherence is idempotent under concurrent first access.
+    cached coherence is idempotent under concurrent first access. A coherence
+    passed as the second argument is taken as the matrix's own and never
+    rescanned: ``load_matrix`` passes the one a format-v2 file stores.
     """
 
     entries: np.ndarray
@@ -155,35 +159,46 @@ def gen_hybrid_normalized(
 
 
 def save_matrix(matrix: MeasurementMatrix, path) -> None:
-    """Write the flat binary format: magic, u64 M, u64 N, column-major f64 entries."""
+    """Write format v2: magic ``SPRSMAT2``, u64 M, u64 N, f64 coherence, then
+    column-major f64 entries at byte 32. The coherence is the matrix's own,
+    computed here if it is not cached yet."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQ", matrix.m, matrix.n))
+        fh.write(MAGIC_V2)
+        fh.write(struct.pack("<QQd", matrix.m, matrix.n, matrix.coherence))
         fh.write(np.asfortranarray(matrix.entries).tobytes(order="F"))
 
 
 def load_matrix(path) -> MeasurementMatrix:
-    """Read the flat binary format; malformed files raise with a byte offset."""
+    """Read format v2 or v1; malformed files raise with a byte offset.
+
+    A v2 file's stored coherence, checked to lie in [0, 1], becomes the
+    matrix's, so it is never rescanned; a v1 file's is computed on first use.
+    Every column's unit norm is checked in both formats.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 8 or blob[:8] != MAGIC:
-        raise MatrixFormatError(f"bad magic at byte offset 0: expected {MAGIC!r}")
-    if len(blob) < 24:
-        raise MatrixFormatError(f"truncated header at byte offset {len(blob)}: need 24 bytes")
+    start = _PAYLOAD_AT.get(blob[:8])
+    if start is None:
+        raise MatrixFormatError(f"bad magic at byte offset 0: expected {MAGIC_V2!r} or {MAGIC!r}")
+    if len(blob) < start:
+        raise MatrixFormatError(f"truncated header at byte offset {len(blob)}: need {start} bytes")
     m, n = struct.unpack("<QQ", blob[8:24])
     if m == 0 or n == 0 or m > n:
         raise MatrixFormatError(f"bad dimensions M={m}, N={n} at byte offset 8")
-    expect = 24 + 8 * m * n
+    mu = struct.unpack("<d", blob[24:32])[0] if start == 32 else None
+    if mu is not None and not 0.0 <= mu <= 1.0:
+        raise MatrixFormatError(f"coherence {mu!r} at byte offset 24 is not in [0, 1]")
+    expect = start + 8 * m * n
     if len(blob) != expect:
         raise MatrixFormatError(
             f"payload ends at byte offset {len(blob)}, expected {expect} for {m}x{n} doubles"
         )
-    flat = np.frombuffer(blob, dtype="<f8", offset=24)
+    flat = np.frombuffer(blob, dtype="<f8", offset=start)
     entries = flat.reshape((m, n), order="F")
     try:
-        return MeasurementMatrix(entries)
+        return MeasurementMatrix(entries, mu)
     except ValueError as exc:
-        raise MatrixFormatError(f"payload at byte offset 24 is not a valid matrix: {exc}") from exc
+        raise MatrixFormatError(f"payload at byte offset {start} is not a valid matrix: {exc}") from exc
 
 
 def export_csv(matrix: MeasurementMatrix, path) -> None:

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +364,53 @@ def test_invert_omega_infeasible_target_exit_2():
     out = json.loads(proc.stdout)
     assert out["error"] == "InfeasibleTarget"
     assert 0 < out["probability_ceiling"] < 0.9999
+
+
+@pytest.mark.parametrize("pmin", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["invert-omega", "recover-bols", "recover-bomp"])
+def test_non_finite_pmin_is_domain_error(feasible_matrix_file, command, pmin):
+    path, _ = feasible_matrix_file
+    if command == "invert-omega":
+        args = ("invert-omega", "--m", "256", "--n", "512", "--mu", "0.2", "--rho", "0.175")
+    else:
+        args = ("recover", "--matrix", str(path), "--alg", command.split("-")[1],
+                "--k-true", "4", "--snr", "20")
+    proc = run_cli(*args, f"--pmin={pmin}")
+    assert proc.returncode == 2
+    assert one_error_line(proc) and "must be finite" in proc.stderr, proc.stderr
+    if proc.stdout:
+        strict_json(proc.stdout)  # no bare NaN or Infinity token
+
+
+@pytest.mark.parametrize("args", [
+    ("coherence",),
+    ("recover", "--alg", "bols", "--k-true", "4", "--snr", "20", "--seed", "5"),
+    ("invert-omega", "--m", "256", "--n", "512", "--rho", "0.175", "--pmin", "0.95"),
+], ids=["coherence", "recover", "invert-omega"])
+def test_v1_and_v2_files_of_one_matrix_print_identical_stdout(feasible_matrix_file, tmp_path, args):
+    path, info = feasible_matrix_file
+    blob = path.read_bytes()  # gen-matrix writes format v2: the coherence at bytes 24-31
+    assert blob[:8] == b"SPRSMAT2"
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(b"SPRSMAT1" + blob[8:24] + blob[32:])
+    procs = [run_cli(args[0], "--matrix", str(p), *args[1:]) for p in (path, v1)]
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+    assert procs[0].stdout == procs[1].stdout
+    if args[0] == "coherence":
+        assert json.loads(procs[0].stdout)["coherence"] == info["coherence"]
+
+
+@pytest.mark.parametrize("mu", [float("nan"), -0.1, 1.5])
+def test_coherence_of_v2_file_with_bad_stored_coherence_is_domain_error(
+        feasible_matrix_file, tmp_path, mu):
+    blob = feasible_matrix_file[0].read_bytes()
+    bad = tmp_path / "bad_mu.bin"
+    bad.write_bytes(blob[:24] + struct.pack("<d", mu) + blob[32:])
+    proc = run_cli("coherence", "--matrix", str(bad))
+    assert proc.returncode == 2
+    assert one_error_line(proc) and "byte offset 24" in proc.stderr, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bounds_sweep_k_csv():

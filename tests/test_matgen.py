@@ -272,10 +272,14 @@ def test_hybrid_coherence_dominates_gaussian():
     assert wins >= 0.95 * len(list(seeds))
 
 
-def test_save_load_roundtrip(tmp_path):
+def test_save_load_roundtrip(tmp_path, monkeypatch):
     mat = gen_hybrid_normalized(12, 20, seed=4)
     path = tmp_path / "m.bin"
     save_matrix(mat, path)
+    blob = path.read_bytes()
+    assert blob[:8] == b"SPRSMAT2" and len(blob) == 32 + 8 * 12 * 20
+    assert struct.unpack("<QQd", blob[8:32]) == (12, 20, mat.coherence)
+    refuse_to_scan(monkeypatch)  # a format-v2 load reads the stored coherence
     back = load_matrix(path)
     assert back.m == 12 and back.n == 20
     assert np.array_equal(back.entries, mat.entries)
@@ -344,6 +348,64 @@ def test_validation_accepts_a_column_within_tolerance(tmp_path, off):
     path = tmp_path / "near.bin"
     path.write_bytes(matrix_file_bytes(e))
     assert np.array_equal(load_matrix(path).entries, e)
+
+
+def v2_file_bytes(e, mu):
+    return (b"SPRSMAT2" + struct.pack("<QQd", *e.shape, mu)
+            + np.asfortranarray(e).tobytes(order="F"))
+
+
+def refuse_to_scan(monkeypatch):
+    def refuse(entries):
+        raise AssertionError("coherence rescanned")
+    monkeypatch.setattr(matgen, "_coherence_of", refuse)
+
+
+@pytest.mark.parametrize("gen, m, n, seed, mu", [
+    (gen_gaussian_normalized, 8, 12, 3, 0.752456615441701),
+    (gen_hybrid_normalized, 12, 20, 4, 0.9963306842350274),
+    (gen_gaussian_normalized, 64, 300, 7, 0.5460024241254061),
+])
+def test_v1_file_still_loads_and_computes_the_same_coherence(tmp_path, gen, m, n, seed, mu):
+    e = gen(m, n, seed=seed).entries
+    path = tmp_path / "v1.bin"
+    path.write_bytes(matrix_file_bytes(e))
+    back = load_matrix(path)
+    assert np.array_equal(back.entries, e)
+    assert back.coherence == mu  # the value format-v1 files gave before format v2
+
+
+@pytest.mark.parametrize("mu", [float("nan"), -0.1, 1.5])
+def test_v2_stored_coherence_outside_unit_interval_names_offset_24(tmp_path, monkeypatch, mu):
+    path = tmp_path / "bad_mu.bin"
+    path.write_bytes(v2_file_bytes(gen_gaussian_normalized(8, 12, seed=3).entries, mu))
+    refuse_to_scan(monkeypatch)
+    with pytest.raises(MatrixFormatError, match="byte offset 24"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("cut", [8, 20, 24, 31])
+def test_v2_truncated_header_names_its_offset(tmp_path, cut):
+    path = tmp_path / "cut.bin"
+    path.write_bytes(v2_file_bytes(np.eye(2), 0.0)[:cut])
+    with pytest.raises(MatrixFormatError, match=f"truncated header at byte offset {cut}: need 32"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("delta", [-8, -1, 8])
+def test_v2_wrong_payload_length_expects_32_plus_8mn(tmp_path, delta):
+    blob = v2_file_bytes(np.eye(2, 3), 0.0)
+    path = tmp_path / "len.bin"
+    path.write_bytes(blob[:delta] if delta < 0 else blob + b"\x00" * delta)
+    with pytest.raises(MatrixFormatError, match=f"expected {32 + 8 * 2 * 3} for 2x3"):
+        load_matrix(path)
+
+
+def test_v2_payload_checks_unit_norm_at_offset_32(tmp_path):
+    path = tmp_path / "off.bin"
+    path.write_bytes(v2_file_bytes(one_column_off_unit_norm(2e-12), 0.5))
+    with pytest.raises(MatrixFormatError, match="byte offset 32.*column 5 has norm"):
+        load_matrix(path)
 
 
 def test_entries_read_only():
