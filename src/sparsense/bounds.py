@@ -23,6 +23,7 @@ from .errors import InfeasibleParams, InfeasibleTarget
 
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
+MAX_SWEEP_ROWS = 100_000  # rows of one closed-form sweep: its sparsity levels or p_min grid
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class BoundParams:
             raise InfeasibleParams(f"require 1 <= M <= N, got M={self.m}, N={self.n}")
         if not 0.0 < self.mu < 1.0:
             raise InfeasibleParams(f"require coherence in (0, 1), got {self.mu}")
-        if not self.rho > 0.0:
-            raise InfeasibleParams(f"require rho > 0, got {self.rho}")
+        if not 0.0 < self.rho < math.inf:
+            raise InfeasibleParams(f"require a finite rho > 0, got {self.rho}")
 
     @property
     def ceiling_c(self) -> float:
@@ -66,12 +67,20 @@ def singular_value_bounds(k: int, m: int, rho: float) -> tuple[float, float, flo
     Gaussian block with entries N(0, 1/M):
     lower = 1 - sqrt(K/M) - rho, upper = 1 + sqrt(K/M) + rho, each holding
     with probability at least prob_floor = 1 - exp(-M rho^2 / 2)."""
-    if not rho > 0.0:
-        raise InfeasibleParams(f"require rho > 0, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise InfeasibleParams(f"require a finite rho > 0, got {rho}")
     if not 0 < k <= m:
         raise InfeasibleParams(f"require 0 < K <= M, got K={k}, M={m}")
     root = math.sqrt(k / m)
     return 1.0 - root - rho, 1.0 + root + rho, 1.0 - math.exp(-m * rho * rho / 2.0)
+
+
+def sparsity_levels(k_lo: int, k_hi: int, m: int) -> range:
+    """K = k_lo..k_hi; require 1 <= k_lo <= k_hi <= M and at most MAX_SWEEP_ROWS levels."""
+    if not 1 <= k_lo <= k_hi <= m or k_hi - k_lo >= MAX_SWEEP_ROWS:
+        raise InfeasibleParams(f"require 1 <= K-min <= K-max <= M with at most {MAX_SWEEP_ROWS} "
+                               f"levels, got K-min={k_lo}, K-max={k_hi}, M={m}")
+    return range(k_lo, k_hi + 1)
 
 
 def projection_inflation(k: int, m: int, mu: float, rho: float) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds
-from .errors import ConfigError, SparsenseError
+from .errors import ConfigError, SparsenseError, read_text
 from .harness import (
     ALGORITHMS,
     BLIND,
@@ -105,7 +105,7 @@ def _cmd_coherence(args) -> int:
 # ------------------------------------------------------------------------- recover
 
 def _read_vector(path, m: int) -> np.ndarray:
-    tokens = Path(path).read_text().split()
+    tokens = read_text(path, SparsenseError).split()
     vals = []
     for i, tok in enumerate(tokens):
         try:
@@ -120,12 +120,6 @@ def _read_vector(path, m: int) -> np.ndarray:
 
 
 def _cmd_recover(args) -> int:
-    given = [f"--{key.replace('_', '-')}" for key in ("omega_star", "pmin", "rho", "max_iterations")
-             if getattr(args, key) is not None]
-    if given and args.alg not in BLIND:
-        raise ConfigError(f"{', '.join(given)} only apply to a blind --alg ({', '.join(BLIND)})")
-    if args.omega_star is not None and (args.pmin is not None or args.rho is not None):
-        raise ConfigError("--pmin and --rho set the inversion that --omega-star replaces")
     mat = load_matrix(args.matrix)
     tuning = {key: val for key, val in (("p_min", args.pmin), ("rho", args.rho)) if val is not None}
     config = ExperimentConfig(
@@ -135,18 +129,12 @@ def _cmd_recover(args) -> int:
     truth = None
     if args.y:
         y = _read_vector(args.y, mat.m)
-    else:
-        if args.k_true is None or args.snr is None:
-            raise ConfigError("without --y, both --k-true and --snr are required")
-        # trial 0 of a sweep with this seed and a sparsity of --k-true
+    else:  # trial 0 of a sweep with this seed and a sparsity of --k-true
         spec, y = _synthesize(mat, replace(config, k=args.k_true), 0, args.snr)
         truth = {"true_support": spec.support}
 
     blind, extra = None, {}
-    if args.alg not in BLIND:
-        if args.k is None:
-            raise ConfigError(f"--alg {args.alg} requires --k")
-    else:
+    if args.alg in BLIND:
         blind, meta = blind_params_for(config, mat.coherence, args.omega_star)
         blind = replace(blind, max_iterations=args.max_iterations)
         extra = {key: meta[key] for key in ("omega", "omega_star", "mu") if key in meta}
@@ -174,8 +162,9 @@ def _cmd_recover(args) -> int:
 # -------------------------------------------------------------------------- bounds
 
 def _mapping_rows(m: int, mu: float, rho: float, k_lo: int, k_hi: int):
+    bounds.BoundParams(m=m, n=m, mu=mu, rho=rho)  # refuses a bad mu or rho; no bound here reads N
     rows = []
-    for k in range(k_lo, k_hi + 1):
+    for k in bounds.sparsity_levels(k_lo, k_hi, m):
         cells = []
         for fn in (
             lambda: bounds.mapping_factor_lower(k, m, mu, rho),
@@ -215,26 +204,24 @@ def _parse_grid(spec: str):
     out = []
     v = start
     while v <= stop + 1e-12:
+        if len(out) == bounds.MAX_SWEEP_ROWS:  # also stops a step too small to move v
+            raise ConfigError(f"grid {spec!r} has more than {bounds.MAX_SWEEP_ROWS} points")
         out.append(round(v, 10))
         v += step
     return out
 
 
 def _cmd_bounds(args) -> int:
-    if args.sweep in ("k", "pmin") and args.mu is None:
-        raise ConfigError(f"--sweep {args.sweep} requires --mu")
     if args.sweep == "k":
         lines = ["k,mapping_lower_probabilistic,mapping_lower_quadratic,mapping_lower_linear"]
         for k, cells in _mapping_rows(args.m, args.mu, args.rho, args.k_min, args.k_max):
             lines.append(f"{k}," + ",".join(cells))
     elif args.sweep == "sv":
         lines = ["k,singular_lower,singular_upper,prob_floor"]
-        for k in range(args.k_min, args.k_max + 1):
+        for k in bounds.sparsity_levels(args.k_min, args.k_max, args.m):
             lo, hi, floor = bounds.singular_value_bounds(k, args.m, args.rho)
             lines.append(f"{k},{lo:.17g},{hi:.17g},{floor:.17g}")
     else:
-        if args.n is None:
-            raise ConfigError("--sweep pmin requires --n")
         grid = _parse_grid(args.grid)
         lines = ["p_min,omega,snr_floor_selection,snr_floor_continuation,snr_min,snr_min_db"]
         for row in _snr_rows(args.m, args.n, args.mu, args.k, args.rho, grid):
@@ -251,23 +238,19 @@ def _cmd_bounds(args) -> int:
 # -------------------------------------------------------------------- invert-omega
 
 def _cmd_invert_omega(args) -> int:
+    mu = args.mu
     if args.matrix:
-        if args.mu is not None:
-            raise ConfigError("pass --mu or --matrix, not both: the matrix gives mu")
         mat = load_matrix(args.matrix)
         if (args.m, args.n) != (mat.m, mat.n):
             raise ConfigError(f"--m {args.m} --n {args.n} disagree with the "
                               f"{mat.m}x{mat.n} matrix {args.matrix}")
         mu = mat.coherence
-    elif args.mu is not None:
-        mu = args.mu
-    else:
-        raise ConfigError("one of --mu or --matrix is required")
     config = ExperimentConfig(m=args.m, n=args.n, p_min=args.pmin, rho=args.rho)
     try:
         _, meta = blind_params_for(config, mu)
     except bounds.InfeasibleTarget as exc:
         _emit({"error": "InfeasibleTarget", "probability_ceiling": exc.ceiling, "p_min": args.pmin})
+        sys.stderr.write(f"error: InfeasibleTarget: {exc}\n")
         return DOMAIN_EXIT
     ceiling_c = meta["sparsity_ceiling"]
     rho_limit = bounds.rho_tightness_limit(ceiling_c, args.m, mu)
@@ -344,15 +327,7 @@ def _write_bound_outputs(out_dir: Path, figure: str, sweep: BoundSweep):
 def _cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     if args.figure == "custom":
-        if not args.config or not args.section:
-            raise ConfigError("--figure custom requires --config and --section")
-        if args.scale is not None:
-            raise ConfigError("--scale goes with a preset figure; "
-                              "--figure custom runs its section as written")
         sweeps = [(args.section, load_config(args.config, args.section))]
-    elif args.config or args.section:
-        raise ConfigError(f"--config and --section go with --figure custom; "
-                          f"--figure {args.figure} is a preset")
     else:
         sweeps = figure_preset(args.figure, args.scale)
         if isinstance(sweeps, BoundSweep):
@@ -360,11 +335,9 @@ def _cmd_experiment(args) -> int:
             return 0
 
     for label, config in sweeps:
-        if args.set:
-            config = apply_overrides(config, args.set)
+        config = apply_overrides(config, args.set)
         if args.seed is not None:
             config = apply_overrides(config, [f"base_seed={_seed(args.seed)}"])
-        config.validate()
         if config.omega_grid:
             rows, outcomes, meta = sweep_omega(config, config.omega_grid, threads=args.threads)
         else:
@@ -383,7 +356,7 @@ def _csv_number(path, lineno: int, column: str, cell: str) -> float:
 
 
 def _cmd_plot(args) -> int:
-    lines = Path(args.csv).read_text().strip().splitlines()
+    lines = read_text(args.csv, SparsenseError).strip().splitlines()
     if not lines:
         raise ConfigError(f"{args.csv} is empty")
     header = lines[0].split(",")
@@ -417,6 +390,50 @@ def _cmd_plot(args) -> int:
 
 # --------------------------------------------------------------------------- parser
 
+# Per subcommand, the axes its modes vary on: a function naming the mode from the
+# parsed flags, and the optional flags each mode reads ("!": and requires). A flag
+# an axis names is read only in the modes that list it; others are always read.
+_MODES = {
+    "gen-matrix": [(lambda a: f"--family {a.family}", {"--family hybrid": "--offset-max"})],
+    "recover": [
+        (lambda a: "--alg mols" if a.alg == "mols" else "a known-K --alg" if a.alg not in BLIND
+         else "a blind --alg" if a.omega_star is None else "a blind --alg and --omega-star",
+         {"a known-K --alg": "--k!", "--alg mols": "--k! --mols-subset",
+          "a blind --alg": "--pmin --rho --max-iterations",
+          "a blind --alg and --omega-star": "--omega-star --max-iterations"}),
+        (lambda a: "--y" if a.y else "no --y", {"no --y": "--k-true! --snr! --seed"}),
+    ],
+    "bounds": [(lambda a: f"--sweep {a.sweep}", {
+        "--sweep k": "--mu! --k-min --k-max", "--sweep sv": "--k-min --k-max",
+        "--sweep pmin": "--n! --mu! --k --grid"})],
+    "invert-omega": [(lambda a: "--matrix" if a.matrix else "no --matrix",
+                      {"no --matrix": "--mu!"})],
+    "experiment": [
+        (lambda a: "--figure custom" if a.figure == "custom" else "a closed-form --figure"
+         if isinstance(figure_preset(a.figure), BoundSweep) else "a Monte Carlo --figure",
+         {"--figure custom": "--config! --section! --set --seed --threads",
+          "a Monte Carlo --figure": "--scale --set --seed --threads"})],
+}
+
+
+def _check_modes(args) -> None:
+    """Refuse a flag set off its default in a mode that ignores it, or a required flag left out."""
+    for pick, modes in _MODES.get(args.command, ()):
+        mode = pick(args)
+        reads = {m: spec.replace("!", "").split() for m, spec in modes.items()}
+        dests = {flag: flag[2:].replace("-", "_") for r in reads.values() for flag in r}
+        given = {f for f, d in dests.items() if getattr(args, d) != args.parser.get_default(d)}
+        unread = sorted(given - set(reads.get(mode, ())))
+        if unread:
+            users = " or ".join(m for m, r in reads.items() if set(unread) & set(r))
+            raise ConfigError(f"{args.command} with {mode} does not read {', '.join(unread)} "
+                              f"(read with {users})")
+        required = [f[:-1] for f in modes.get(mode, "").split() if f[-1] == "!"]
+        missing = [f for f in required if f not in given]
+        if missing:
+            raise ConfigError(f"{args.command} with {mode} requires {', '.join(missing)}")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="sparsense", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -429,7 +446,7 @@ def build_parser() -> _Parser:
     g.add_argument("--offset-max", type=float, default=10.0)
     g.add_argument("--out", required=True)
     g.add_argument("--csv", default=None, help="also export entries as CSV")
-    g.set_defaults(fn=_cmd_gen_matrix)
+    g.set_defaults(fn=_cmd_gen_matrix, parser=g)
 
     c = sub.add_parser("coherence", help="coherence of a saved matrix")
     c.add_argument("--matrix", required=True)
@@ -450,7 +467,7 @@ def build_parser() -> _Parser:
     r.add_argument("--mols-subset", type=int, default=2)
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--out", default=None, help="also write the JSON result here")
-    r.set_defaults(fn=_cmd_recover)
+    r.set_defaults(fn=_cmd_recover, parser=r)
 
     b = sub.add_parser("bounds", help="closed-form bound sweeps as CSV")
     b.add_argument("--sweep", choices=("k", "sv", "pmin"), required=True)
@@ -463,7 +480,7 @@ def build_parser() -> _Parser:
     b.add_argument("--k-max", type=int, default=8)
     b.add_argument("--grid", default="0.9:0.01:0.99", help="p_min grid start:step:stop")
     b.add_argument("--out", default=None)
-    b.set_defaults(fn=_cmd_bounds)
+    b.set_defaults(fn=_cmd_bounds, parser=b)
 
     i = sub.add_parser("invert-omega", help="threshold scale from a target probability")
     i.add_argument("--m", type=int, required=True)
@@ -472,7 +489,7 @@ def build_parser() -> _Parser:
     i.add_argument("--matrix", default=None)
     i.add_argument("--rho", type=float, required=True)
     i.add_argument("--pmin", type=float, required=True)
-    i.set_defaults(fn=_cmd_invert_omega)
+    i.set_defaults(fn=_cmd_invert_omega, parser=i)
 
     e = sub.add_parser("experiment", help="run a figure preset or custom sweep")
     e.add_argument("--figure", choices=(*FIGURES, "custom"), required=True)
@@ -486,7 +503,7 @@ def build_parser() -> _Parser:
     e.add_argument("--threads", type=int, default=1,
                    help="worker threads over trials (default 1: on small matrices a pool "
                         "is slower than serial, since the GIL is held between small BLAS calls)")
-    e.set_defaults(fn=_cmd_experiment)
+    e.set_defaults(fn=_cmd_experiment, parser=e)
 
     pl = sub.add_parser("plot", help="re-plot a CSV as SVG (never re-runs trials)")
     pl.add_argument("--csv", required=True)
@@ -509,16 +526,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
+        _check_modes(args)
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
     except SparsenseError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return DOMAIN_EXIT
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of text input files."""
 
 
 class SparsenseError(Exception):
@@ -42,3 +42,12 @@ class MatrixFormatError(SparsenseError):
 
 class ConfigError(SparsenseError):
     """Experiment configuration file or overrides are invalid."""
+
+
+def read_text(path, error: type[SparsenseError]) -> str:
+    """The text of an input file; one that does not decode as text raises ``error``."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not text: {exc}") from None

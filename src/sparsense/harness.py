@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import bounds
-from .errors import ConfigError, InvalidParams, SparsenseError, ZeroSignal
+from .errors import ConfigError, InvalidParams, SparsenseError, ZeroSignal, read_text
 from .linalg import _entries
 from .matgen import MeasurementMatrix, gen_gaussian_normalized, gen_hybrid_normalized
 from .recovery import (
@@ -37,6 +37,7 @@ from .recovery import (
 from .streams import TAG_NOISE, TAG_SPECTRUM, stream
 
 CSV_HEADER = "grid,algorithm,prob_recovery,mse,mean_iterations,trials"
+SNR_DB_MAX = 3082.5  # from about 3082.55 dB on, 10**(snr_db/10) overflows a double
 
 # Every algorithm the sweeps and ``recover`` run: name -> (rule of the greedy
 # path it cuts, or None; runner(d, y, config, blind, path, steps)), where
@@ -92,10 +93,10 @@ class ExperimentConfig:
             raise ConfigError("snr_grid_db must be nonempty")
         for key in _FLOAT_FIELDS:
             value = getattr(self, key)
-            noiseless = key == "snr_grid_db"  # +inf is the noiseless grid point
+            snr = key == "snr_grid_db"
             for v in value if isinstance(value, tuple) else () if value is None else (value,):
-                if not (math.isfinite(v) or (noiseless and v == math.inf)):
-                    hint = " or +inf" if noiseless else ""
+                if not (_valid_snr(v) if snr else math.isfinite(v)):
+                    hint = f", below {SNR_DB_MAX} dB, or +inf" if snr else ""
                     raise ConfigError(f"config key {key!r} must be finite{hint}, got {v!r}")
         if not self.success_tolerance > 0:
             raise ConfigError(f"success_tolerance must be > 0, got {self.success_tolerance}")
@@ -151,12 +152,17 @@ def gen_sparse_spectrum(n: int, k: int, mean: float, var: float, rng) -> SparseS
     return SparseSpectrum(x=x, support=support, k=k)
 
 
+def _valid_snr(snr_db: float) -> bool:  # +inf is the noiseless point
+    return snr_db == math.inf or -math.inf < snr_db < SNR_DB_MAX
+
+
 def calibrate_noise(d, x, snr_db: float, rng) -> tuple[np.ndarray, float]:
     """Measurement y = Dx + noise with the noise level set so the realized
     signal energy over M sigma^2 equals the requested SNR. ``snr_db=inf``
-    returns the noiseless measurement; NaN or -inf raises InvalidParams."""
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise InvalidParams(f"snr_db must be finite or +inf, got {snr_db}")
+    returns the noiseless measurement. NaN, -inf, an SNR from SNR_DB_MAX up and
+    one so far below 0 dB that the energy of y overflows raise InvalidParams."""
+    if not _valid_snr(snr_db):
+        raise InvalidParams(f"snr_db must be +inf or below {SNR_DB_MAX} dB, got {snr_db}")
     e = _entries(d)
     x = np.asarray(x, dtype=np.float64)
     signal = e @ x
@@ -165,10 +171,15 @@ def calibrate_noise(d, x, snr_db: float, rng) -> tuple[np.ndarray, float]:
     energy = float(signal @ signal)
     if energy == 0.0:
         raise ZeroSignal("cannot set a finite SNR for a zero signal")
-    sigma = math.sqrt(energy / (e.shape[0] * 10.0 ** (snr_db / 10.0)))
+    power = e.shape[0] * 10.0 ** (snr_db / 10.0)  # 0.0 once 10**(snr_db/10) underflows
+    sigma = math.sqrt(energy / power) if power > 0.0 else math.inf
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    noise = sigma * rng.standard_normal(e.shape[0])
-    return signal + noise, sigma
+    y = signal + sigma * rng.standard_normal(e.shape[0])
+    with np.errstate(over="ignore"):  # an energy that overflows is refused, not warned about
+        measured = float(y @ y)
+    if not math.isfinite(measured):
+        raise InvalidParams(f"snr_db={snr_db} makes the measurement's energy overflow")
+    return y, sigma
 
 
 def component_snr(d, x, sigma: float, q: int) -> float:
@@ -294,6 +305,14 @@ def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
         raise ConfigError(str(exc)) from exc
 
 
+def _sweep_matrix(config: ExperimentConfig, threads: int) -> MeasurementMatrix:
+    """The sweep's matrix, built once its config and thread count pass their checks."""
+    config.validate()
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return build_matrix(config)
+
+
 def blind_params_for(config: ExperimentConfig, mu: float,
                      omega_star: float | None = None) -> tuple[BlindStopParams, dict]:
     """Blind stopping parameters from the coherence and the target probability.
@@ -379,9 +398,8 @@ def sweep_snr(
     config: ExperimentConfig, threads: int = 1
 ) -> tuple[list[MetricsRow], list[TrialOutcome], dict]:
     """SNR sweep: one MetricsRow per (snr grid point, algorithm)."""
-    config.validate()
+    d = _sweep_matrix(config, threads)
     meta: dict = {"sweep": "snr", "config": config_to_dict(config)}
-    d = build_matrix(config)
     blind = None
     if any(a in BLIND for a in config.algorithms):
         blind, blind_meta = blind_params_for(config, d.coherence)
@@ -397,11 +415,10 @@ def sweep_omega(
 ) -> tuple[list[MetricsRow], list[TrialOutcome], dict]:
     """Omega sweep at a fixed SNR: the blind threshold is omega * mu directly
     (no rho subtraction), so the grid axis is the raw threshold scale."""
-    config.validate()
     if not omega_grid:
         raise ConfigError("omega grid must be nonempty")
+    d = _sweep_matrix(config, threads)
     snr_db = config.snr_grid_db[0]
-    d = build_matrix(config)
     mu = d.coherence
     meta = {
         "sweep": "omega",
@@ -521,8 +538,7 @@ def config_from_mapping(raw: dict[str, str], base: ExperimentConfig | None = Non
 
 
 def load_config(path, section: str) -> ExperimentConfig:
-    with open(path) as fh:
-        sections = parse_config_text(fh.read())
+    sections = parse_config_text(read_text(path, ConfigError))
     if section not in sections:
         raise ConfigError(f"section [{section}] not found in {path}; have {sorted(sections)}")
     return config_from_mapping(sections[section])

@@ -98,8 +98,8 @@ def coherence(matrix: MeasurementMatrix) -> float:
 
 
 def _check_shape(m: int, n: int):
-    if m < 1 or n < 1:
-        raise ValueError(f"require M >= 1 and N >= 1, got M={m}, N={n}")
+    if m < 1 or n < 1 or m * n > np.iinfo(np.intp).max // 8:  # numpy could not size the array
+        raise ValueError(f"require M >= 1, N >= 1 and 8*M*N < 2**63, got M={m}, N={n}")
     if m > n:
         raise ValueError(f"require M <= N, got M={m}, N={n}")
 

@@ -81,8 +81,8 @@ class BlindStopParams:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if not self.omega_star >= 0.0:
-            raise InvalidParams(f"omega_star must be >= 0, got {self.omega_star}")
+        if not 0.0 <= self.omega_star < math.inf:
+            raise InvalidParams(f"omega_star must be finite and >= 0, got {self.omega_star}")
         if not 0.0 < self.mu <= 1.0:
             raise InvalidParams(f"mu must be in (0, 1], got {self.mu}")
         if self.max_iterations is not None and self.max_iterations < 1:

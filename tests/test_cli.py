@@ -127,8 +127,8 @@ def test_recover_matches_direct_runner_calls_for_every_algorithm(matrix_file, tm
         "mols": run_mols(mat, y, 3, 2),
     }
     for alg, expect in direct.items():
-        tuning = ("--pmin", "0.15", "--rho", "0.175") if alg in ("bols", "bomp") else ()
-        proc = run_cli("recover", "--matrix", str(path), "--alg", alg, "--k", "3",
+        tuning = ("--pmin", "0.15", "--rho", "0.175") if alg in ("bols", "bomp") else ("--k", "3")
+        proc = run_cli("recover", "--matrix", str(path), "--alg", alg,
                        *tuning, "--y", str(y_path))
         assert proc.returncode == 0, (alg, proc.stderr)
         out = json.loads(proc.stdout)
@@ -710,3 +710,66 @@ def test_plot_missing_column_is_usage_error(tmp_path):
     proc = run_cli("plot", "--csv", str(csv), "--x", "zzz", "--y", "b",
                    "--series", "", "--out", str(tmp_path / "x.svg"))
     assert proc.returncode == 1
+
+
+# Fixed reproducers: each of these inputs once exited 0, ended in a traceback or
+# never finished. "M" is a 16x32 Gaussian matrix file and "Y" a measurement file
+# for it, in the working directory.
+REPRODUCERS = [
+    ("recover --matrix M --alg bols --k 4 --k-true 2 --snr 20", 1),
+    ("recover --matrix M --alg ols --k 3 --mols-subset 7 --k-true 2 --snr 20", 1),
+    ("recover --matrix M --alg ols --k 2 --y Y --k-true 2", 1),
+    ("recover --matrix M --alg ols --k 2 --y Y --snr 20", 1),
+    ("recover --matrix M --alg ols --k 2 --y Y --seed 5", 1),
+    ("bounds --sweep sv --m 64 --rho 0.1 --mu 0.3 --n 9 --grid zz", 1),
+    ("bounds --sweep k --m 64 --mu 0.3 --rho 0.1 --n 9", 1),
+    ("bounds --sweep pmin --m 64 --n 128 --mu 0.3 --rho 0.1 --k-min 3", 1),
+    ("experiment --figure fig2a --set trials=abc --out out", 1),
+    ("experiment --figure fig2a --seed 5 --out out", 1),
+    ("experiment --figure fig2a --threads 7 --out out", 1),
+    ("experiment --figure fig2a --scale paper --out out", 1),
+    ("gen-matrix --family gaussian --m 16 --n 32 --offset-max 5 --out G", 1),
+    ("experiment --figure fig3 --set trials=1 --out M", 1),
+    ("recover --matrix M --alg bols --k-true 2 --snr 1e308", 2),
+    ("experiment --figure fig3 --set trials=1 --set snr_grid_db=1e308 --out out", 1),
+    ("recover --matrix M --alg bols --pmin 0.5 --rho inf --k-true 2 --snr 20", 2),
+    ("invert-omega --m 16 --n 32 --mu 0.3 --rho inf --pmin 0.5", 2),
+    ("bounds --sweep sv --m 64 --rho inf", 2),
+    ("bounds --sweep k --m 1024 --mu 0.135 --rho 0.15 --k-max 200000", 2),
+    ("bounds --sweep k --m 1024 --mu 0.135 --rho 0.15 --k-max 18446744073709551616", 2),
+    ("bounds --sweep sv --m 18446744073709551616 --rho 0.1 --k-max 18446744073709551616", 2),
+    ("bounds --sweep k --m 1024 --mu 0.135 --rho 0.15 --k-min -5", 2),
+    ("bounds --sweep k --m 1024 --mu -0.5 --rho 0.15", 2),
+    ("bounds --sweep pmin --m 64 --n 128 --mu 0.3 --rho 0.1 --grid 0.9:1e-20:0.99", 1),
+    ("bounds --sweep pmin --m 64 --n 128 --mu 0.3 --rho 0.1 --grid 0.9:1e-20:0.9", 1),
+    ("bounds --sweep pmin --m 64 --n 128 --mu 0.3 --rho 0.1 "
+     "--grid 0.9:1e-20:0.9000000000000001", 1),
+    ("recover --matrix M --alg bols --omega-star 1 --k-true 2 --snr=-3100", 2),
+    ("recover --matrix M --alg ols --k 2 --k-true 2 --snr=-5000", 2),
+    ("experiment --figure fig3 --set trials=1 --set m=16 --set n=32 --set algorithms=ols "
+     "--set snr_grid_db=-3100 --out out", 2),
+    ("experiment --figure fig3 --set trials=1 --threads 0 --out out", 1),
+    ("experiment --figure fig3 --set trials=1 --threads -3 --out out", 1),
+    ("recover --matrix M --alg ols --k 2 --y M", 2),
+    ("experiment --figure custom --config M --section tiny --out out", 1),
+    ("plot --csv M --out P", 2),
+    ("recover --matrix M --alg bomp --omega-star inf --y Y", 2),
+    ("gen-matrix --family gaussian --m 18446744073709551616 --n 18446744073709551616 --out G", 1),
+]
+
+
+@pytest.mark.parametrize("command, code", REPRODUCERS, ids=[c for c, _ in REPRODUCERS])
+def test_reproducer_exits_with_one_error_line_and_no_output(tmp_path, monkeypatch, capsys,
+                                                             command, code):
+    from sparsense import cli
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-matrix", "--family", "gaussian", "--m", "16", "--n", "32",
+                     "--seed", "3", "--out", "M"]) == 0
+    (tmp_path / "Y").write_text(" ".join(["0.25"] * 16))
+    capsys.readouterr()
+    assert cli.main(command.split()) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["M", "Y"]

@@ -193,6 +193,18 @@ def test_sweep_thread_count_does_not_change_output():
     assert outcomes_to_jsonl(o1, cfg) == outcomes_to_jsonl(o3, cfg)
 
 
+def test_thread_count_is_checked_before_the_matrix_is_built(monkeypatch):
+    def refuse(config):
+        raise AssertionError("built a matrix for a sweep it then refuses")
+
+    monkeypatch.setattr("sparsense.harness.build_matrix", refuse)
+    for threads in (0, -3):
+        with pytest.raises(ConfigError, match="threads"):
+            sweep_snr(small_config(), threads=threads)
+        with pytest.raises(ConfigError, match="threads"):
+            sweep_omega(small_config(), (1.0, 1.5), threads=threads)
+
+
 def test_jsonl_recount_matches_rows():
     cfg = small_config(snr_grid_db=(5.0, 25.0))
     rows, outcomes, _ = sweep_snr(cfg, threads=2)
