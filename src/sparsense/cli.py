@@ -334,10 +334,9 @@ def _cmd_experiment(args) -> int:
             _write_bound_outputs(out_dir, args.figure, sweeps)
             return 0
 
-    for label, config in sweeps:
-        config = apply_overrides(config, args.set)
-        if args.seed is not None:
-            config = apply_overrides(config, [f"base_seed={_seed(args.seed)}"])
+    seed = [] if args.seed is None else [f"base_seed={_seed(args.seed)}"]
+    sweeps = [(label, apply_overrides(config, args.set + seed)) for label, config in sweeps]
+    for label, config in sweeps:  # every sweep's overrides are checked before any runs
         if config.omega_grid:
             rows, outcomes, meta = sweep_omega(config, config.omega_grid, threads=args.threads)
         else:

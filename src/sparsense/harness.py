@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds
 from .errors import ConfigError, InvalidParams, SparsenseError, ZeroSignal, read_text
 from .linalg import _entries
-from .matgen import MeasurementMatrix, gen_gaussian_normalized, gen_hybrid_normalized
+from .matgen import MeasurementMatrix, check_shape, gen_gaussian_normalized, gen_hybrid_normalized
 from .recovery import (
     BlindStopParams,
     GreedyPath,
@@ -87,6 +87,10 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown matrix family {self.family!r}")
+        try:
+            check_shape(self.m, self.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.snr_grid_db:
@@ -294,7 +298,8 @@ def run_trial(
 
 
 def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
-    """The sweep's matrix; a shape, seed or offset out of range is a ConfigError."""
+    """The sweep's matrix; a shape, seed or offset out of range is a ConfigError, and
+    a matrix larger than physical memory InvalidParams."""
     try:
         if config.family == "gaussian":
             return gen_gaussian_normalized(config.m, config.n, config.base_seed)

@@ -7,24 +7,28 @@ Generation is deterministic in the seed: column j is drawn from the stream
 re-keyed to each column's stream rather than one built per column, which
 gives the same draws.
 
-Coherence: a float32 screen, then a float64 scan of only the 256-column blocks
-within 2δ of the screen's largest, bit-identical to a float64 scan of every block:
+Coherence: the Gram matrix's upper triangle in 256 x 256 tiles, a float32 screen
+of every tile, then a float64 rescan of only the tiles within 2δ of the screen's
+largest, bit-identical to a float64 scan of every 256-column block times the
+columns from its start. Scratch is two float32 M x 256 panels and one tile
+product, whatever N is.
 δ = (γ32_{M+2} + γ64_M)(1 + NORM_TOL)² bounds |G32 − G64|, γ_n = nu/(1 − nu) (Higham §3.1).
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MatrixFormatError
+from .errors import InvalidParams, MatrixFormatError
 from .streams import TAG_COLUMN, TAG_OFFSET, check_seed, stream
 
 MAGIC = b"SPRSMAT1"  # format v1: M, N, payload at byte 24; still read
 MAGIC_V2 = b"SPRSMAT2"  # format v2: M, N, coherence, payload at byte 32
 _PAYLOAD_AT = {MAGIC: 24, MAGIC_V2: 32}
 NORM_TOL = 1e-12
-_COH_BLOCK = 256  # columns per Gram block: scratch is 256 x N, plus a float32 copy
+_COH_BLOCK = 256  # columns per Gram tile side
 
 
 @dataclass
@@ -72,24 +76,42 @@ class MeasurementMatrix:
         return self._coherence
 
 
-def _off_diagonal_max(gram: np.ndarray) -> float:
-    """Largest |G| off a Gram block's leading diagonal (zeroed in place); no |G| copy."""
-    idx = np.arange(min(gram.shape))
-    gram[idx, idx] = 0.0
+def _tile_max(gram: np.ndarray, diagonal: bool) -> float:
+    """Largest |G| of a Gram tile, its leading diagonal zeroed in place first when the
+    tile holds the Gram diagonal; no |G| copy."""
+    if diagonal:
+        idx = np.arange(min(gram.shape))
+        gram[idx, idx] = 0.0
     return float(max(gram.max(), -gram.min()))
 
 
 def _coherence_of(entries: np.ndarray) -> float:
-    """Max off-diagonal |G| of the upper triangle, block [s, s + 256) times columns
-    [s, N); the float32 screen takes the faster transposed product."""
+    """Max off-diagonal |G| of the upper triangle, in tiles of rows [s, s + 256) times
+    columns [t, t + 256), t >= s: a float32 screen of every tile from two reused panels,
+    then a float64 rescan of the tiles within 2δ of the screen's largest.
+
+    The float64 rescan reproduces the row products [s, N) of a plain block scan bit for
+    bit. BLAS rounds a product's last N mod 8 columns by its width, and numpy multiplies
+    a block by itself with syrk, which rounds otherwise. So a rescanned tile from column
+    N - N mod 256 - 512 on is widened to run from there (or from s) to N, and a diagonal
+    tile to two tiles: each rescan product is then the whole row or 512 columns or more."""
     (m, n), b = entries.shape, _COH_BLOCK
-    single = entries.astype(np.float32, order="F")
-    screen = {s: _off_diagonal_max(single[:, s:].T @ single[:, s:s + b]) for s in range(0, n, b)}
-    del single  # the float64 pass holds only the entries and one block
-    delta = sum(k * u / (1 - k * u) for k, u in ((m + 2, 2.0**-24), (m, 2.0**-53)))
+    left, right = (np.empty((m, b), np.float32, order="F") for _ in range(2))
+    screen = {}
+    for s in range(0, n, b):
+        lhs = left[:, :min(b, n - s)]
+        np.copyto(lhs, entries[:, s:s + b])
+        for t in range(s, n, b):
+            rhs = right[:, :min(b, n - t)]
+            np.copyto(rhs, entries[:, t:t + b])
+            screen[s, t] = _tile_max(rhs.T @ lhs, s == t)
+    delta = sum(k * v / (1 - k * v) for k, v in ((m + 2, 2.0**-24), (m, 2.0**-53)))
     cut = max(screen.values()) - 2.0 * delta * (1.0 + NORM_TOL) ** 2
-    return min(1.0, max(_off_diagonal_max(entries[:, s:s + b].T @ entries[:, s:])
-                        for s, v in screen.items() if v >= cut))  # unit columns: Cauchy-Schwarz
+    tail = n - n % b - 2 * b if n % b else n
+    rescan = {(s, max(s, tail), n) if t >= tail else (s, t, min(n, t + (2 * b if s == t else b)))
+              for (s, t), v in screen.items() if v >= cut}
+    return min(1.0, max(_tile_max(entries[:, s:s + b].T @ entries[:, t:u], s == t)
+                        for s, t, u in rescan))  # unit columns: Cauchy-Schwarz
 
 
 def coherence(matrix: MeasurementMatrix) -> float:
@@ -97,11 +119,17 @@ def coherence(matrix: MeasurementMatrix) -> float:
     return matrix.coherence
 
 
-def _check_shape(m: int, n: int):
+def check_shape(m: int, n: int):
+    """Refuse a shape before anything is allocated: one numpy cannot size or with
+    M > N (ValueError), or one whose 8·M·N bytes exceed physical memory (InvalidParams)."""
     if m < 1 or n < 1 or m * n > np.iinfo(np.intp).max // 8:  # numpy could not size the array
         raise ValueError(f"require M >= 1, N >= 1 and 8*M*N < 2**63, got M={m}, N={n}")
     if m > n:
         raise ValueError(f"require M <= N, got M={m}, N={n}")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * m * n > memory:
+        raise InvalidParams(f"a {m}x{n} matrix needs {8 * m * n} bytes, more than the "
+                            f"{memory} bytes of physical memory")
 
 
 def _unit_columns(m: int, n: int, seed: int, scale=None, offsets=None) -> MeasurementMatrix:
@@ -134,7 +162,7 @@ def gen_gaussian_normalized(m: int, n: int, seed: int) -> MeasurementMatrix:
     Column j comes from its own counter-based stream ``(seed, TAG_COLUMN, j)``,
     so the matrix is bit-identical for identical (m, n, seed).
     """
-    _check_shape(m, n)
+    check_shape(m, n)
     check_seed(seed)
     return _unit_columns(m, n, seed, scale=1.0 / np.sqrt(m))
 
@@ -150,7 +178,7 @@ def gen_hybrid_normalized(
     coherence toward 1. ``offset_max=0`` reduces to the Gaussian family up to
     column scaling.
     """
-    _check_shape(m, n)
+    check_shape(m, n)
     check_seed(seed)
     if not 0.0 <= offset_max < np.inf:
         raise ValueError(f"offset_max must be finite and >= 0, got {offset_max}")
@@ -165,7 +193,7 @@ def save_matrix(matrix: MeasurementMatrix, path) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC_V2)
         fh.write(struct.pack("<QQd", matrix.m, matrix.n, matrix.coherence))
-        fh.write(np.asfortranarray(matrix.entries).tobytes(order="F"))
+        matrix.entries.T.tofile(fh)  # entries are Fortran-ordered: no payload copy
 
 
 def load_matrix(path) -> MeasurementMatrix:

@@ -6,6 +6,8 @@ with an optional log10 y axis for error curves.
 
 import math
 
+from .errors import InvalidParams
+
 WIDTH, HEIGHT = 760, 520
 MARGIN = {"top": 48, "right": 32, "bottom": 64, "left": 76}
 PALETTE = (
@@ -14,9 +16,19 @@ PALETTE = (
 )
 
 
+def _axis(lo: float, hi: float, below: float, above: float, name: str) -> tuple[float, float]:
+    """An axis range with a finite, positive span. A single value v becomes
+    [v - below, v + above], the pads scaled to v's magnitude from 2**40 up, where
+    adding them would soon round away; a span that overflows raises InvalidParams."""
+    if hi == lo:
+        scale = max(1.0, abs(lo) * 2.0**-40)
+        lo, hi = lo - below * scale, hi + above * scale
+    if not 0.0 < hi - lo < math.inf:
+        raise InvalidParams(f"cannot plot the {name} axis from {lo!r} to {hi!r}: its span overflows")
+    return lo, hi
+
+
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / max(count - 1, 1)))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -62,13 +74,8 @@ def line_plot(
     else:
         xs = [p[0] for p in pts_all]
         ys = [ty(p[1]) for p in pts_all]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi += 0.5
-        y_lo -= 0.5
+    x_lo, x_hi = _axis(min(xs), max(xs), 0.0, 1.0, "x")
+    y_lo, y_hi = _axis(min(ys), max(ys), 0.5, 0.5, "y")
 
     plot_w = WIDTH - MARGIN["left"] - MARGIN["right"]
     plot_h = HEIGHT - MARGIN["top"] - MARGIN["bottom"]

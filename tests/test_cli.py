@@ -755,6 +755,12 @@ REPRODUCERS = [
     ("plot --csv M --out P", 2),
     ("recover --matrix M --alg bomp --omega-star inf --y Y", 2),
     ("gen-matrix --family gaussian --m 18446744073709551616 --n 18446744073709551616 --out G", 1),
+    ("experiment --figure fig7 --set trials=1 --set algorithms=ols --set k=300 --out out", 1),
+    # 2**62 bytes: more than any physical memory, refused before it is allocated
+    ("gen-matrix --family gaussian --m 536870912 --n 1073741824 --out G", 2),
+    ("experiment --figure fig3 --set trials=1 --set m=536870912 --set n=1073741824 --out out", 2),
+    ("experiment --figure fig7 --set trials=1 --set algorithms=ols --set m=536870912 "
+     "--set n=1073741824 --out out", 2),
 ]
 
 
@@ -773,3 +779,51 @@ def test_reproducer_exits_with_one_error_line_and_no_output(tmp_path, monkeypatc
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["M", "Y"]
+
+
+CSV_HEADER = "grid,algorithm,prob_recovery,mse,mean_iterations,trials\n"
+
+
+@pytest.mark.parametrize("command, code", [
+    ("plot --csv C --out P", 0),
+    ("plot --csv D --out P", 2),
+    ("experiment --figure fig4 --set trials=1 --set m=16 --set n=32 --set omega_grid=1e308 "
+     "--out out", 0),
+])
+def test_plot_of_an_x_axis_at_or_past_2_to_the_53_ends_without_a_traceback(
+        tmp_path, monkeypatch, capsys, command, code):
+    """One x of 1e308 is widened by its magnitude and drawn; -1e308 and 1e308
+    span more than a double holds and are refused with one error line."""
+    from sparsense import cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "C").write_text(CSV_HEADER + "1e308,ols,0.5,0.1,3,10\n")
+    (tmp_path / "D").write_text(CSV_HEADER + "-1e308,ols,0.5,0.1,3,10\n1e308,ols,0.5,0.1,3,10\n")
+    assert cli.main(command.split()) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "P").exists()
+    else:
+        assert err == ""
+        svgs = [tmp_path / "P"] if command.startswith("plot") else [
+            tmp_path / "out" / f"fig4_{kind}.svg" for kind in ("prob", "mse")]
+        assert all(p.read_text().endswith("</svg>\n") for p in svgs)
+
+
+@pytest.mark.parametrize("x", [2.0**53, 1e16])
+def test_line_plot_widens_a_single_x_at_or_past_2_to_the_53(x):
+    from sparsense.svgplot import line_plot
+
+    svg = line_plot({"a": [(x, 0.5)]})
+    assert "nan" not in svg and svg.count("<circle") == 1
+
+
+def test_memory_limit_refuses_a_matrix_before_allocating_it(monkeypatch):
+    from sparsense import matgen
+    from sparsense.errors import InvalidParams
+
+    monkeypatch.setattr(matgen.os, "sysconf", lambda name: 1024 if name == "SC_PAGE_SIZE" else 1)
+    monkeypatch.setattr(matgen.np, "empty", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(InvalidParams, match="1024 bytes of physical memory"):
+        matgen.gen_gaussian_normalized(8, 17, seed=1)  # 1088 bytes

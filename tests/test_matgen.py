@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,8 +162,8 @@ GENERATORS = {"gaussian": gen_gaussian_normalized, "hybrid": gen_hybrid_normaliz
 
 @pytest.mark.parametrize("family", sorted(GENERATORS))
 @pytest.mark.parametrize("m,n", [
-    (3, 40), (16, 255), (16, 257), (64, 300), (24, 3 * 256 - 5), (200, 333),
-    (256, 512), (100, 1100),
+    (3, 40), (8, 549), (16, 255), (16, 257), (64, 300), (64, 600), (24, 3 * 256 - 5),
+    (200, 333), (256, 512), (100, 1100),
 ])
 def test_coherence_is_bit_identical_to_the_float64_block_scan(family, m, n):
     assert_coherence_is_the_block_scan(GENERATORS[family](m, n, seed=m + n).entries)
@@ -218,16 +219,16 @@ def near_tie(seed, gap=1e-9):
     return e
 
 
-def block_maxima(monkeypatch, e):
-    """(dtype, value) of every Gram block the coherence scan reduces, in order."""
+def tile_maxima(monkeypatch, e):
+    """(dtype, value) of every Gram tile the coherence scan reduces, in order."""
     seen = []
-    reduce = matgen._off_diagonal_max
+    reduce = matgen._tile_max
 
-    def recorded(gram):
-        seen.append((gram.dtype, reduce(gram)))
+    def recorded(gram, diagonal):
+        seen.append((gram.dtype, reduce(gram, diagonal)))
         return seen[-1][1]
 
-    monkeypatch.setattr(matgen, "_off_diagonal_max", recorded)
+    monkeypatch.setattr(matgen, "_tile_max", recorded)
     mu = MeasurementMatrix(e).coherence
     monkeypatch.undo()
     return mu, [v for t, v in seen if t == np.float32], [v for t, v in seen if t == np.float64]
@@ -236,8 +237,8 @@ def block_maxima(monkeypatch, e):
 def test_coherence_near_tie_ranked_wrong_in_float32_is_resolved_in_double(monkeypatch):
     for seed in range(40):
         e = near_tie(seed)
-        mu, screen, exact = block_maxima(monkeypatch, e)
-        if screen[0] > screen[1]:  # float32 ranks block 0's pair above block 1's
+        mu, screen, exact = tile_maxima(monkeypatch, e)
+        if screen[0] > screen[2]:  # float32 ranks tile (0, 0)'s pair above tile (256, 256)'s
             break
     else:
         pytest.fail("float32 ranks the near tie correctly for every seed")
@@ -245,15 +246,54 @@ def test_coherence_near_tie_ranked_wrong_in_float32_is_resolved_in_double(monkey
     lower = (e[:, :256].T @ e)[0, 1]
     assert 0 < upper - lower < 2e-9
     assert mu == upper == block_scan_max(e)
-    assert len(exact) == 2  # both blocks were scanned again in float64
+    assert len(screen) == 3
+    assert len(exact) == 2  # both diagonal tiles were scanned again in float64
 
 
-def test_coherence_screen_recomputes_fewer_than_every_block(monkeypatch):
+def test_coherence_screen_recomputes_fewer_than_every_tile(monkeypatch):
     e = gen_gaussian_normalized(128, 9 * 256, seed=10).entries
-    mu, screen, exact = block_maxima(monkeypatch, e)
-    assert len(screen) == 9
-    assert 1 <= len(exact) < 9
+    mu, screen, exact = tile_maxima(monkeypatch, e)
+    assert len(screen) == 9 * 10 // 2
+    assert 1 <= len(exact) < 9 * 10 // 2
     assert mu == min(block_scan_max(e), 1.0)
+
+
+def planted(m, n, i, j, c=0.99, seed=12):
+    """A Gaussian matrix whose largest |G| entry, about c, is columns (i, j)."""
+    e = gen_gaussian_normalized(m, n, seed).entries.copy()
+    e[:, j] = c * e[:, i] + np.sqrt(1.0 - c * c) * e[:, j]
+    e[:, j] /= np.sqrt(e[:, j] @ e[:, j])
+    return e
+
+
+@pytest.mark.parametrize("m,n,i,j", [
+    (8, 549, 10, 548), (96, 582, 158, 577), (149, 1391, 482, 1387),  # a last N mod 8 column
+    (444, 1024, 300, 301),  # a diagonal tile, M above BLAS's depth block
+])
+def test_coherence_largest_entry_where_tiles_round_otherwise_is_the_block_scans(m, n, i, j):
+    """Products narrower than a row round these entries differently in BLAS; the
+    rescan widens them so μ stays the block scan's to the bit."""
+    assert_coherence_is_the_block_scan(planted(m, n, i, j))
+
+
+def test_coherence_scratch_does_not_grow_with_n():
+    def traced_peak(e):
+        tracemalloc.start()
+        try:
+            mu = matgen._coherence_of(e)
+            return tracemalloc.get_traced_memory()[1], mu
+        finally:
+            tracemalloc.stop()
+
+    m = 256
+    # two float32 M x 256 panels, a float32 tile and a two-tile float64 rescan, at any N;
+    # the whole-matrix float32 copy alone took 4 MB at N = 4096
+    bound = 2 * m * 256 * 4 + 256 * 256 * 4 + 256 * 512 * 8 + 2**16
+    for n in (1024, 4096):
+        e = gen_gaussian_normalized(m, n, seed=n).entries
+        peak, mu = traced_peak(e)
+        assert mu == min(block_scan_max(e), 1.0)
+        assert peak < bound, (n, peak)
 
 
 def test_hybrid_offset_zero_matches_gaussian():
@@ -284,6 +324,20 @@ def test_save_load_roundtrip(tmp_path, monkeypatch):
     assert back.m == 12 and back.n == 20
     assert np.array_equal(back.entries, mat.entries)
     assert coherence(back) == coherence(mat)
+
+
+def test_save_writes_the_payload_without_copying_it(tmp_path):
+    mat = gen_gaussian_normalized(256, 1024, seed=5)  # a 2 MB payload
+    header = b"SPRSMAT2" + struct.pack("<QQd", 256, 1024, mat.coherence)
+    path = tmp_path / "m.bin"
+    tracemalloc.start()
+    try:
+        save_matrix(mat, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == header + mat.entries.tobytes(order="F")
+    assert peak < 2**20
 
 
 def test_csv_export_roundtrip(tmp_path):
