@@ -360,8 +360,9 @@ def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
     iterates = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # iterate t as (support, values)
     first_seen: dict[bytes, int] = {}  # merged set -> iteration whose iterate it produced
     reason = StopReason.REACHED_MAX_ITERATIONS
+    cut_ident, cut_prune = max(n - 2 * k, 0), max(n - k, 0)  # sizes of what each cut drops
     for t in range(1, max_iterations + 1):
-        ident = np.argsort(np.abs(e.T @ r))[-2 * k:]
+        ident = np.argpartition(np.abs(e.T @ r), cut_ident)[cut_ident:]
         merged = np.union1d(iterates[-1][0], ident)
         s = first_seen.setdefault(merged.tobytes(), t)
         if s < t:
@@ -373,7 +374,7 @@ def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
             except RankDeficient:
                 reason = StopReason.RANK_DEFICIENT
                 break
-            fit[np.argsort(np.abs(fit))[:-k]] = 0.0
+            fit[np.argpartition(np.abs(fit), cut_prune)[:cut_prune]] = 0.0
             r = y - e @ fit
             rnorm = float(np.linalg.norm(r))
             support = np.nonzero(fit)[0]
