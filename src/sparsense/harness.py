@@ -7,7 +7,8 @@ and aggregates recovery probability, MSE and mean iteration counts per
 grid: at each SNR its x and y are synthesized once, each greedy selection
 rule runs once on it, and every configured algorithm (at every omega, on
 omega sweeps) reads its result from that run. All its paths share one step
-cache, since x and the noise direction are the same at every SNR. Trials
+cache and all its least-squares solves one factor cache: x and the noise
+direction are the same at every SNR, and neither cache depends on y. Trials
 are independent work items; aggregation is keyed by trial index so results
 are identical for any worker count.
 """
@@ -40,16 +41,19 @@ CSV_HEADER = "grid,algorithm,prob_recovery,mse,mean_iterations,trials"
 SNR_DB_MAX = 3082.5  # from about 3082.55 dB on, 10**(snr_db/10) overflows a double
 
 # Every algorithm the sweeps and ``recover`` run: name -> (rule of the greedy
-# path it cuts, or None; runner(d, y, config, blind, path, steps)), where
-# ``steps`` is the trial's step cache. Runners look the recovery functions up
-# in this module at call time, so patching them here reaches every call.
+# path it cuts, or None; runner(d, y, config, blind, path, steps, factors)),
+# where ``steps`` and ``factors`` are the trial's step and factor caches.
+# Runners look the recovery functions up in this module at call time, so
+# patching them here reaches every call.
 REGISTRY = {
-    "omp": ("omp", lambda d, y, c, blind, path, steps: run_omp_known_k(d, y, c.k, path=path)),
-    "bomp": ("omp", lambda d, y, c, blind, path, steps: run_bomp(d, y, blind, path=path)),
-    "ols": ("ols", lambda d, y, c, blind, path, steps: run_ols_known_k(d, y, c.k, path=path)),
-    "bols": ("ols", lambda d, y, c, blind, path, steps: run_bols(d, y, blind, path=path)),
-    "cosamp": (None, lambda d, y, c, blind, path, steps: run_cosamp(d, y, c.k)),
-    "mols": (None, lambda d, y, c, blind, path, steps: run_mols(d, y, c.k, c.mols_subset, steps)),
+    "omp": ("omp", lambda d, y, c, blind, path, *_: run_omp_known_k(d, y, c.k, path=path)),
+    "bomp": ("omp", lambda d, y, c, blind, path, *_: run_bomp(d, y, blind, path=path)),
+    "ols": ("ols", lambda d, y, c, blind, path, *_: run_ols_known_k(d, y, c.k, path=path)),
+    "bols": ("ols", lambda d, y, c, blind, path, *_: run_bols(d, y, blind, path=path)),
+    "cosamp": (None, lambda d, y, c, blind, path, steps, factors:
+               run_cosamp(d, y, c.k, factors=factors)),
+    "mols": (None, lambda d, y, c, blind, path, steps, factors:
+             run_mols(d, y, c.k, c.mols_subset, steps, factors)),
 }
 ALGORITHMS = tuple(REGISTRY)
 BLIND = ("bomp", "bols")  # stop on the blind statistic, so they need BlindStopParams
@@ -206,18 +210,20 @@ def min_component_snr(d, x, sigma: float) -> float:
 def _run_algorithm(
     alg: str, d: MeasurementMatrix, y: np.ndarray, config: ExperimentConfig,
     blind: BlindStopParams | None, paths: dict[str, GreedyPath], steps: dict | None = None,
+    factors: dict | None = None,
 ) -> RecoveryResult:
     """One algorithm on y; the greedy ones cut the trial's path of their rule,
     which ``paths`` holds once any algorithm has asked for it. Every path,
-    MOLS's included, shares the step cache ``steps``."""
+    MOLS's included, shares the step cache ``steps``, and every solve the
+    factor cache ``factors``."""
     if alg in BLIND and blind is None:
         raise InvalidParams(f"algorithm {alg} needs blind stopping parameters")
     if alg not in REGISTRY:
         raise InvalidParams(f"unknown algorithm {alg!r}")
     rule, runner = REGISTRY[alg]
     if rule is not None and rule not in paths:
-        paths[rule] = GreedyPath(d, y, rule, steps)
-    return runner(d, y, config, blind, paths.get(rule), steps)
+        paths[rule] = GreedyPath(d, y, rule, steps, factors)
+    return runner(d, y, config, blind, paths.get(rule), steps, factors)
 
 
 def _synthesize(
@@ -245,6 +251,7 @@ def _trial_outcomes(
     snr_db: float,
     runs: list[tuple[float, str, BlindStopParams | None]],
     steps: dict | None = None,
+    factors: dict | None = None,
 ) -> list[TrialOutcome]:
     """Outcomes of one trial for each (grid value, algorithm, blind parameters).
 
@@ -257,7 +264,7 @@ def _trial_outcomes(
     outcomes = []
     for grid_value, alg, blind in runs:
         try:
-            result = _run_algorithm(alg, d, y, config, blind, paths, steps)
+            result = _run_algorithm(alg, d, y, config, blind, paths, steps, factors)
             stop_reason = result.stop_reason.value
             x_hat = result.x_hat
             iterations = result.iterations
@@ -355,7 +362,8 @@ def _collect(
     threads: int,
 ) -> list[TrialOutcome]:
     """Every trial's outcomes at each (SNR, runs) point, in trial-index order;
-    a trial runs every point with one step cache, dropped when it ends.
+    a trial runs every point with one step cache and one factor cache,
+    dropped when it ends.
 
     ``threads`` above 1 maps trials over a thread pool, one trial per task.
     On small matrices the pool is slower than serial: the interpreter lock is
@@ -364,8 +372,9 @@ def _collect(
 
     def one_trial(t):
         steps: dict = {}
+        factors: dict = {}
         return [o for snr_db, runs in points
-                for o in _trial_outcomes(d, config, t, snr_db, runs, steps)]
+                for o in _trial_outcomes(d, config, t, snr_db, runs, steps, factors)]
 
     if threads <= 1:
         chunks = [one_trial(t) for t in range(config.trials)]

@@ -2,8 +2,16 @@
 
 These are the inner kernels of every greedy algorithm here: fit y on a
 selected column subset, and measure what remains of y outside the subset's
-span. Solves go through an orthogonal decomposition (SVD-backed lstsq),
-never the normal equations.
+span. A support's columns E_S are factored by Householder QR, E_S = QR, and
+only the k x k inverse R^-1 is kept. It does not depend on y, so a sweep
+caches it per trial in ``factors``, a dict from the ordered support tuple to
+R^-1, and factors each support once across the trial's SNR grid. y is solved
+by the corrected seminormal equations (Bjorck 1996, section 2.4):
+``x = R^-1 R^-T E_S^T y``, plus one refinement on its residual. The columns
+are rank deficient when their smallest/largest singular value ratio is below
+``RANK_RTOL``. That ratio is at least ``1 / (||R||_F ||R^-1||_F)``, so where
+this bound reaches ``RANK_RTOL`` full rank is certified; elsewhere the SVD of
+R decides, and an exactly singular R is rank deficient.
 """
 
 from collections.abc import Sequence
@@ -37,23 +45,46 @@ def check_support(support: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _solve_on_support(e: np.ndarray, y: np.ndarray, support: list[int]) -> np.ndarray:
+def _r_inverse(sub: np.ndarray, support: list[int]) -> np.ndarray:
+    """Read-only R^-1 of the Householder QR of sub; RankDeficient if sub is."""
+    r = np.linalg.qr(sub, mode="r")
+    try:
+        rinv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        raise RankDeficient(f"columns {support} are exactly dependent") from None
+    if not np.linalg.norm(r) * np.linalg.norm(rinv) <= 1.0 / RANK_RTOL:
+        svals = np.linalg.svd(r, compute_uv=False)
+        if svals[-1] < RANK_RTOL * svals[0]:
+            raise RankDeficient(
+                f"columns {support} are numerically dependent "
+                f"(singular value ratio {svals[-1] / svals[0]:.3e})"
+            )
+    rinv.flags.writeable = False
+    return rinv
+
+
+def _solve_on_support(
+    e: np.ndarray, y: np.ndarray, support: list[int], factors: dict | None = None
+) -> np.ndarray:
     """Coefficients of the least-squares fit of y on the support columns."""
     m = e.shape[0]
     if len(support) > m:
         raise RankDeficient(f"support size {len(support)} exceeds row count {m}")
     sub = e[:, support]
-    coef, _, _, svals = np.linalg.lstsq(sub, y, rcond=None)
-    if svals.size and svals[-1] < RANK_RTOL * svals[0]:
-        raise RankDeficient(
-            f"columns {support} are numerically dependent "
-            f"(singular value ratio {svals[-1] / svals[0]:.3e})"
-        )
-    return coef
+    factors = {} if factors is None else factors
+    key = tuple(support)
+    if key not in factors:
+        factors[key] = _r_inverse(sub, support)
+    rinv = factors[key]
+    x = rinv @ (rinv.T @ (sub.T @ y))
+    return x + rinv @ (rinv.T @ (sub.T @ (y - sub @ x)))
 
 
-def least_squares_on_support(d, y, support: Sequence[int]) -> np.ndarray:
-    """N-vector that is zero off the support and minimizes ||y - Dx|| on it."""
+def least_squares_on_support(
+    d, y, support: Sequence[int], factors: dict | None = None
+) -> np.ndarray:
+    """N-vector that is zero off the support and minimizes ||y - Dx|| on it;
+    ``factors`` is a cache of the support factors to read and fill."""
     e = _entries(d)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (e.shape[0],):
@@ -61,7 +92,7 @@ def least_squares_on_support(d, y, support: Sequence[int]) -> np.ndarray:
     sup = check_support(support, e.shape[1])
     x = np.zeros(e.shape[1])
     if sup:
-        x[sup] = _solve_on_support(e, y, sup)
+        x[sup] = _solve_on_support(e, y, sup, factors)
     return x
 
 

@@ -29,6 +29,8 @@ exact product.
 q and g depend on the ordered picks, not on y, so paths of several y (one
 trial at each SNR) can share them through a step cache ``steps``: a dict
 from the pick tuple to ``(q, g)``, or None for a rank-deficient pick.
+Least-squares fits likewise read and fill a factor cache ``factors`` (see
+``linalg``).
 """
 
 import math
@@ -126,10 +128,11 @@ class GreedyPath:
     picked columns, ``proj_sq[j] = ||P_S d_j||^2``, the residual ``r`` and
     the correlations ``c = E^T r``; each pick reads and fills ``steps``. The
     least-squares fit of y on the first i picks is memoized per prefix
-    length i, so cuts stopping at one step share one solve.
+    length i, so cuts stopping at one step share one solve, and its factor
+    is read from and filled into ``factors``.
     """
 
-    def __init__(self, d, y, rule: str, steps: dict | None = None):
+    def __init__(self, d, y, rule: str, steps: dict | None = None, factors: dict | None = None):
         if rule not in _RULES:
             raise InvalidParams(f"unknown selection rule {rule!r}; known: {_RULES}")
         e = _entries(d)
@@ -140,6 +143,7 @@ class GreedyPath:
         self.e, self.y, self.rule = e, y, rule
         self.qs: list[np.ndarray] = []
         self._steps = {} if steps is None else steps
+        self._factors = factors
         self.proj_sq = np.zeros(n)
         self._picked = np.zeros(n, dtype=bool)
         self.r = y.copy()
@@ -233,7 +237,8 @@ class GreedyPath:
         those columns are numerically rank deficient."""
         if i not in self._fits:
             try:
-                self._fits[i] = least_squares_on_support(self.e, self.y, self.picks[:i])
+                self._fits[i] = least_squares_on_support(
+                    self.e, self.y, self.picks[:i], self._factors)
             except RankDeficient:
                 self._fits[i] = None
         x = self._fits[i]
@@ -336,7 +341,8 @@ def run_omp_known_k(d, y, k: int, path: GreedyPath | None = None) -> RecoveryRes
     return _cut(_path_for(d, y, "omp", path), known_k=k)
 
 
-def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
+def run_cosamp(d, y, k: int, max_iterations: int = 50,
+               factors: dict | None = None) -> RecoveryResult:
     """Compressive sampling matching pursuit: identify 2k, merge, solve, prune to k.
 
     Stops on the residual floor, on stagnation (relative change of consecutive
@@ -345,7 +351,8 @@ def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
     function of its merged set alone, so the first repeated merged set makes
     the run periodic. It stops computing there and returns what computing
     every iteration would: the stagnation stop, or the iterate, history and
-    stop reason held at max_iterations.
+    stop reason held at max_iterations. ``factors`` is the factor cache of
+    ``least_squares_on_support``.
     """
     e = _entries(d)
     y = np.asarray(y, dtype=np.float64)
@@ -370,7 +377,7 @@ def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
             rnorm = history[s]
         else:
             try:
-                fit = least_squares_on_support(e, y, merged.tolist())
+                fit = least_squares_on_support(e, y, merged.tolist(), factors)
             except RankDeficient:
                 reason = StopReason.RANK_DEFICIENT
                 break
@@ -399,19 +406,20 @@ def run_cosamp(d, y, k: int, max_iterations: int = 50) -> RecoveryResult:
     return RecoveryResult(x, support.tolist(), len(history) - 1, history, reason)
 
 
-def run_mols(d, y, k: int, subset_size: int, steps: dict | None = None) -> RecoveryResult:
+def run_mols(d, y, k: int, subset_size: int, steps: dict | None = None,
+             factors: dict | None = None) -> RecoveryResult:
     """Multiple-selection OLS: the subset_size best candidates per iteration.
 
     Candidates are ranked one-at-a-time against the current support by the
     OLS criterion. Selection stops once k atoms are collected; the final
     least-squares estimate is pruned to the k largest coefficients.
-    ``steps`` is the step cache of ``GreedyPath``.
+    ``steps`` and ``factors`` are the caches of ``GreedyPath``.
     """
     if k < 0:
         raise InvalidParams(f"k must be >= 0, got {k}")
     if subset_size < 1:
         raise InvalidParams(f"subset_size must be >= 1, got {subset_size}")
-    path = GreedyPath(d, y, "ols", steps)
+    path = GreedyPath(d, y, "ols", steps, factors)
     m, n = path.e.shape
     if subset_size * math.ceil(k / subset_size) > m:
         raise InvalidParams(
@@ -439,7 +447,7 @@ def run_mols(d, y, k: int, subset_size: int, steps: dict | None = None) -> Recov
         rounds += 1
         history.append(path.residual_norms[-1])
     try:
-        full = least_squares_on_support(path.e, path.y, path.picks)
+        full = least_squares_on_support(path.e, path.y, path.picks, factors)
     except RankDeficient:
         return RecoveryResult(np.zeros(n), [], rounds, history, StopReason.RANK_DEFICIENT)
     x = np.zeros(n)

@@ -217,9 +217,9 @@ def test_each_cut_step_is_fitted_once_per_trial_and_rule(monkeypatch):
 
     calls = []
 
-    def counting(e, y, support):
+    def counting(e, y, support, *factors):
         calls.append(len(support))
-        return original(e, y, support)
+        return original(e, y, support, *factors)
 
     monkeypatch.setattr(recovery, "least_squares_on_support", counting)
     _, outcomes, _ = sweep_omega(cfg, grid, threads=1)
