@@ -28,7 +28,8 @@ def _axis(lo: float, hi: float, below: float, above: float, name: str) -> tuple[
     return lo, hi
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float, count: int = 6) -> tuple[list[float], float]:
+    """Round tick values covering [lo, hi], and the step between them."""
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / max(count - 1, 1)))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -41,13 +42,16 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     while v <= hi + 1e-12 * span:
         out.append(round(v, 12))
         v += step
-    return out or [lo, hi]
+    return (out, step) if out else ([lo, hi], span)
 
 
-def _fmt(v: float) -> str:
+def _fmt(v: float, step: float) -> str:
+    """Tick label of v: at least 6 significant digits, and as many more as
+    ticks one step apart need to differ."""
     if v == int(v) and abs(v) < 1e6:
         return str(int(v))
-    return f"{v:g}"
+    digits = math.floor(math.log10(max(abs(v), step))) - math.floor(math.log10(step)) + 1
+    return f"{v:.{max(digits, 6)}g}"
 
 
 def line_plot(
@@ -97,7 +101,8 @@ def line_plot(
         )
 
     # gridlines and ticks
-    for xv in _ticks(x_lo, x_hi):
+    x_ticks, x_step = _ticks(x_lo, x_hi)
+    for xv in x_ticks:
         x = px(xv)
         out.append(
             f'<line x1="{x:.1f}" y1="{MARGIN["top"]}" x2="{x:.1f}" '
@@ -105,17 +110,17 @@ def line_plot(
         )
         out.append(
             f'<text x="{x:.1f}" y="{HEIGHT - MARGIN["bottom"] + 18}" text-anchor="middle" '
-            f'font-size="11" fill="#444">{_fmt(xv)}</text>'
+            f'font-size="11" fill="#444">{_fmt(xv, x_step)}</text>'
         )
     if logy:
-        y_tick_vals = range(math.floor(y_lo), math.ceil(y_hi) + 1)
+        y_tick_vals, y_step = range(math.floor(y_lo), math.ceil(y_hi) + 1), 1.0
     else:
-        y_tick_vals = _ticks(y_lo, y_hi)
+        y_tick_vals, y_step = _ticks(y_lo, y_hi)
     for yv in y_tick_vals:
         y = py(yv)
         if y < MARGIN["top"] - 1 or y > HEIGHT - MARGIN["bottom"] + 1:
             continue
-        label = f"1e{yv}" if logy else _fmt(yv)
+        label = f"1e{yv}" if logy else _fmt(yv, y_step)
         out.append(
             f'<line x1="{MARGIN["left"]}" y1="{y:.1f}" x2="{WIDTH - MARGIN["right"]}" '
             f'y2="{y:.1f}" stroke="#e0e0e0"/>'

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -817,6 +818,21 @@ def test_line_plot_widens_a_single_x_at_or_past_2_to_the_53(x):
 
     svg = line_plot({"a": [(x, 0.5)]})
     assert "nan" not in svg and svg.count("<circle") == 1
+
+
+@pytest.mark.parametrize("x", ["1e16", "1e308"])
+def test_plot_of_one_row_labels_adjacent_x_ticks_apart(tmp_path, x):
+    """An x axis whose span is tiny next to its magnitude gets as many digits
+    as its ticks need to differ."""
+    from sparsense import cli
+
+    (tmp_path / "C").write_text(CSV_HEADER + f"{x},ols,0.5,0.1,3,10\n")
+    assert cli.main(["plot", "--csv", str(tmp_path / "C"), "--out", str(tmp_path / "P")]) == 0
+    svg = (tmp_path / "P").read_text()
+    labels = re.findall(r'y="474" text-anchor="middle" font-size="11" fill="#444">([^<]*)<', svg)
+    values = [float(v) for v in labels]
+    assert len(labels) >= 3 and values == sorted(set(values)), labels
+    assert values == pytest.approx([float(x)] * len(values), rel=1e-12)
 
 
 def test_memory_limit_refuses_a_matrix_before_allocating_it(monkeypatch):
