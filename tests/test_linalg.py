@@ -3,6 +3,7 @@ import pytest
 
 from sparsense.errors import RankDeficient
 from sparsense.linalg import (
+    RANK_RTOL,
     least_squares_on_support,
     projection_residual_norm_sq,
     residual,
@@ -132,6 +133,41 @@ def test_rank_deficient_duplicate_column():
     y = np.ones(4)
     with pytest.raises(RankDeficient):
         least_squares_on_support(e, y, [0, 1])
+
+
+def test_near_dependent_supports_follow_the_singular_value_ratio_rule(monkeypatch):
+    """Unit columns at angle 2 atan(ratio) have singular value ratio `ratio`.
+    At 1e-9 the bound 1/(||R||_F ||R^-1||_F) certifies full rank with no SVD;
+    at 1e-11 it cannot, and the SVD of R finds the columns dependent."""
+    e = np.zeros((6, 3))
+    e[0, :] = 1.0
+    for j, ratio in ((1, 1e-9), (2, 1e-11)):
+        t = 2.0 * np.arctan(ratio)
+        e[:, j] = np.cos(t) * e[:, 0]
+        e[j, j] = np.sin(t)
+    y = np.arange(1.0, 7.0)
+    svals = {j: np.linalg.svd(e[:, [0, j]], compute_uv=False) for j in (1, 2)}
+    assert svals[1][-1] / svals[1][0] == pytest.approx(1e-9, rel=1e-3)
+    assert svals[2][-1] / svals[2][0] == pytest.approx(1e-11, rel=1e-3)
+
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    factors: dict = {}
+    x = least_squares_on_support(e, y, [0, 1], factors)
+    assert svd_calls == [] and RANK_RTOL <= 1e-9  # accepted on the certified bound
+    np.testing.assert_allclose(x[[0, 1]], np.linalg.lstsq(e[:, [0, 1]], y, rcond=None)[0],
+                               rtol=1e-6)
+    with pytest.raises(RankDeficient, match="singular value ratio 1.0"):
+        least_squares_on_support(e, y, [0, 2], factors)
+    assert svd_calls == [(2, 2)] and RANK_RTOL > 1e-11  # the SVD of R decided
+    assert list(factors) == [(0, 1)] and not factors[0, 1].flags.writeable
+    assert least_squares_on_support(e, y, [0, 1], factors).tobytes() == x.tobytes()
 
 
 def test_rank_deficient_oversized_support():

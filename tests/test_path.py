@@ -12,6 +12,8 @@ from sparsense.harness import (
     build_matrix,
     calibrate_noise,
     gen_sparse_spectrum,
+    outcomes_to_jsonl,
+    rows_to_csv,
     run_trial,
     sweep_omega,
     sweep_snr,
@@ -228,6 +230,31 @@ def test_each_cut_step_is_fitted_once_per_trial_and_rule(monkeypatch):
     steps = {(o.trial_index, rule[o.algorithm], o.iterations) for o in outcomes}
     assert len(calls) == len(steps) < len(outcomes)
     assert sorted(calls) == sorted(i for _, _, i in steps)
+
+
+def test_a_sweep_with_the_factor_cache_equals_one_factoring_every_solve_afresh(monkeypatch):
+    import sparsense.linalg as linalg
+    import sparsense.recovery as recovery
+
+    cfg = tiny_config(snr_grid_db=(20.0, 30.0, 40.0, 50.0, 60.0), k=5, trials=4)
+    original, factor = recovery.least_squares_on_support, linalg._r_inverse
+    factored = []
+
+    def counted_factor(sub, support):
+        factored.append(tuple(support))
+        return factor(sub, support)
+
+    def afresh(e, y, support, factors=None):
+        return original(e, y, support, {})  # a throwaway cache for every solve
+
+    monkeypatch.setattr(linalg, "_r_inverse", counted_factor)
+    cached_rows, cached, _ = sweep_snr(cfg, threads=1)
+    cached_factors = len(factored)
+    monkeypatch.setattr(recovery, "least_squares_on_support", afresh)
+    fresh_rows, fresh, _ = sweep_snr(cfg, threads=1)
+    assert rows_to_csv(cached_rows) == rows_to_csv(fresh_rows)
+    assert outcomes_to_jsonl(cached, cfg) == outcomes_to_jsonl(fresh, cfg)
+    assert 0 < cached_factors < len(factored) - cached_factors  # the cache was hit
 
 
 def test_cuts_at_one_step_get_their_own_estimates():
