@@ -6,11 +6,10 @@ and aggregates recovery probability, MSE and mean iteration counts per
 (grid point, algorithm). The unit of work is one trial across the whole
 grid: at each SNR its x and y are synthesized once, each greedy selection
 rule runs once on it, and every configured algorithm (at every omega, on
-omega sweeps) reads its result from that run. All its paths share one step
-cache and all its least-squares solves one factor cache: x and the noise
-direction are the same at every SNR, and neither cache depends on y. Trials
-are independent work items; aggregation is keyed by trial index so results
-are identical for any worker count.
+omega sweeps) reads its result from that run. Its paths share one step
+cache and its solves one factor cache, since x and the noise direction are
+the same at every SNR. Trials are independent work items; aggregation is
+keyed by trial index so results are identical for any worker count.
 """
 
 import json
@@ -42,18 +41,15 @@ SNR_DB_MAX = 3082.5  # from about 3082.55 dB on, 10**(snr_db/10) overflows a dou
 
 # Every algorithm the sweeps and ``recover`` run: name -> (rule of the greedy
 # path it cuts, or None; runner(d, y, config, blind, path, steps, factors)),
-# where ``steps`` and ``factors`` are the trial's step and factor caches.
-# Runners look the recovery functions up in this module at call time, so
-# patching them here reaches every call.
+# the last two the trial's caches. Runners look the recovery functions up
+# in this module at call time, so patching them here reaches every call.
 REGISTRY = {
     "omp": ("omp", lambda d, y, c, blind, path, *_: run_omp_known_k(d, y, c.k, path=path)),
     "bomp": ("omp", lambda d, y, c, blind, path, *_: run_bomp(d, y, blind, path=path)),
     "ols": ("ols", lambda d, y, c, blind, path, *_: run_ols_known_k(d, y, c.k, path=path)),
     "bols": ("ols", lambda d, y, c, blind, path, *_: run_bols(d, y, blind, path=path)),
-    "cosamp": (None, lambda d, y, c, blind, path, steps, factors:
-               run_cosamp(d, y, c.k, factors=factors)),
-    "mols": (None, lambda d, y, c, blind, path, steps, factors:
-             run_mols(d, y, c.k, c.mols_subset, steps, factors)),
+    "cosamp": (None, lambda d, y, c, blind, path, _, fs: run_cosamp(d, y, c.k, factors=fs)),
+    "mols": (None, lambda d, y, c, blind, path, *cs: run_mols(d, y, c.k, c.mols_subset, *cs)),
 }
 ALGORITHMS = tuple(REGISTRY)
 BLIND = ("bomp", "bols")  # stop on the blind statistic, so they need BlindStopParams
@@ -213,9 +209,8 @@ def _run_algorithm(
     factors: dict | None = None,
 ) -> RecoveryResult:
     """One algorithm on y; the greedy ones cut the trial's path of their rule,
-    which ``paths`` holds once any algorithm has asked for it. Every path,
-    MOLS's included, shares the step cache ``steps``, and every solve the
-    factor cache ``factors``."""
+    which ``paths`` holds once any algorithm has asked for it. All of them,
+    MOLS's path included, share the trial's caches ``steps`` and ``factors``."""
     if alg in BLIND and blind is None:
         raise InvalidParams(f"algorithm {alg} needs blind stopping parameters")
     if alg not in REGISTRY:
@@ -362,8 +357,7 @@ def _collect(
     threads: int,
 ) -> list[TrialOutcome]:
     """Every trial's outcomes at each (SNR, runs) point, in trial-index order;
-    a trial runs every point with one step cache and one factor cache,
-    dropped when it ends.
+    a trial runs every point with its step and factor caches, dropped when it ends.
 
     ``threads`` above 1 maps trials over a thread pool, one trial per task.
     On small matrices the pool is slower than serial: the interpreter lock is
@@ -371,8 +365,7 @@ def _collect(
     """
 
     def one_trial(t):
-        steps: dict = {}
-        factors: dict = {}
+        steps, factors = {}, {}
         return [o for snr_db, runs in points
                 for o in _trial_outcomes(d, config, t, snr_db, runs, steps, factors)]
 

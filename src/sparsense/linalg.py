@@ -3,15 +3,14 @@
 These are the inner kernels of every greedy algorithm here: fit y on a
 selected column subset, and measure what remains of y outside the subset's
 span. A support's columns E_S are factored by Householder QR, E_S = QR, and
-only the k x k inverse R^-1 is kept. It does not depend on y, so a sweep
-caches it per trial in ``factors``, a dict from the ordered support tuple to
-R^-1, and factors each support once across the trial's SNR grid. y is solved
-by the corrected seminormal equations (Bjorck 1996, section 2.4):
-``x = R^-1 R^-T E_S^T y``, plus one refinement on its residual. The columns
-are rank deficient when their smallest/largest singular value ratio is below
-``RANK_RTOL``. That ratio is at least ``1 / (||R||_F ||R^-1||_F)``, so where
-this bound reaches ``RANK_RTOL`` full rank is certified; elsewhere the SVD of
-R decides, and an exactly singular R is rank deficient.
+only the k x k R^-1 is kept: it does not depend on y, so a sweep caches it
+per trial in ``factors``, keyed by the ordered support tuple. y is solved by
+the corrected seminormal equations (Bjorck 1996, sec. 2.4),
+``x = R^-1 R^-T E_S^T y`` plus one refinement on its residual. The columns
+are rank deficient when their singular value ratio is below ``RANK_RTOL``.
+That ratio's lower bound ``1 / (||R||_F ||R^-1||_F)`` certifies full rank
+where it reaches ``RANK_RTOL``; elsewhere the SVD of R decides. An exactly
+singular R is rank deficient.
 """
 
 from collections.abc import Sequence
@@ -55,36 +54,29 @@ def _r_inverse(sub: np.ndarray, support: list[int]) -> np.ndarray:
     if not np.linalg.norm(r) * np.linalg.norm(rinv) <= 1.0 / RANK_RTOL:
         svals = np.linalg.svd(r, compute_uv=False)
         if svals[-1] < RANK_RTOL * svals[0]:
-            raise RankDeficient(
-                f"columns {support} are numerically dependent "
-                f"(singular value ratio {svals[-1] / svals[0]:.3e})"
-            )
+            raise RankDeficient(f"columns {support} are numerically dependent "
+                                f"(singular value ratio {svals[-1] / svals[0]:.3e})")
     rinv.flags.writeable = False
     return rinv
 
 
-def _solve_on_support(
-    e: np.ndarray, y: np.ndarray, support: list[int], factors: dict | None = None
-) -> np.ndarray:
+def _solve_on_support(e: np.ndarray, y: np.ndarray, support: list[int], factors) -> np.ndarray:
     """Coefficients of the least-squares fit of y on the support columns."""
     m = e.shape[0]
     if len(support) > m:
         raise RankDeficient(f"support size {len(support)} exceeds row count {m}")
     sub = e[:, support]
     factors = {} if factors is None else factors
-    key = tuple(support)
-    if key not in factors:
-        factors[key] = _r_inverse(sub, support)
-    rinv = factors[key]
+    rinv = factors.get(key := tuple(support))
+    if rinv is None:
+        rinv = factors[key] = _r_inverse(sub, support)
     x = rinv @ (rinv.T @ (sub.T @ y))
     return x + rinv @ (rinv.T @ (sub.T @ (y - sub @ x)))
 
 
-def least_squares_on_support(
-    d, y, support: Sequence[int], factors: dict | None = None
-) -> np.ndarray:
+def least_squares_on_support(d, y, support: Sequence[int], factors=None) -> np.ndarray:
     """N-vector that is zero off the support and minimizes ||y - Dx|| on it;
-    ``factors`` is a cache of the support factors to read and fill."""
+    ``factors``, a dict or None, is the factor cache to read and fill."""
     e = _entries(d)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (e.shape[0],):
@@ -103,7 +95,7 @@ def projection_residual_norm_sq(d, y, support: Sequence[int]) -> float:
     sup = check_support(support, e.shape[1])
     if not sup:
         return float(y @ y)
-    coef = _solve_on_support(e, y, sup)
+    coef = _solve_on_support(e, y, sup, None)
     r = y - e[:, sup] @ coef
     return float(r @ r)
 

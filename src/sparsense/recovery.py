@@ -29,8 +29,7 @@ exact product.
 q and g depend on the ordered picks, not on y, so paths of several y (one
 trial at each SNR) can share them through a step cache ``steps``: a dict
 from the pick tuple to ``(q, g)``, or None for a rank-deficient pick.
-Least-squares fits likewise read and fill a factor cache ``factors`` (see
-``linalg``).
+Least-squares solves read and fill a factor cache ``factors`` alike.
 """
 
 import math
@@ -128,8 +127,8 @@ class GreedyPath:
     picked columns, ``proj_sq[j] = ||P_S d_j||^2``, the residual ``r`` and
     the correlations ``c = E^T r``; each pick reads and fills ``steps``. The
     least-squares fit of y on the first i picks is memoized per prefix
-    length i, so cuts stopping at one step share one solve, and its factor
-    is read from and filled into ``factors``.
+    length i, so cuts stopping at one step share one solve, which reads and
+    fills ``factors``.
     """
 
     def __init__(self, d, y, rule: str, steps: dict | None = None, factors: dict | None = None):

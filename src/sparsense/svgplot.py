@@ -46,8 +46,7 @@ def _ticks(lo: float, hi: float, count: int = 6) -> tuple[list[float], float]:
 
 
 def _fmt(v: float, step: float) -> str:
-    """Tick label of v: at least 6 significant digits, and as many more as
-    ticks one step apart need to differ."""
+    """Tick label of v: 6 significant digits, more where adjacent ticks need them."""
     if v == int(v) and abs(v) < 1e6:
         return str(int(v))
     digits = math.floor(math.log10(max(abs(v), step))) - math.floor(math.log10(step)) + 1
