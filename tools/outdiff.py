@@ -18,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+# harness.CSV_HEADER, copied so that the tool needs no version of the package
 SWEEP_HEADER = "grid,algorithm,prob_recovery,mse,mean_iterations,trials"
 CONTINUOUS = {".csv": "mse", ".jsonl": "mse_contrib"}
 
