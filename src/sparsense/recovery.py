@@ -15,6 +15,8 @@ Provided algorithms:
 The four greedy runners are cuts of a ``GreedyPath``: the selection sequence
 depends only on (D, y, rule), and a stop rule only decides where to stop, so
 callers running several of them on one y can pass one shared path.
+``GreedyPath.select`` is the only code that picks columns: a cut grows its
+path one column per step, and a MOLS round adds its L columns in one step.
 
 OLS selection uses the normalized-correlation identity
 ``argmin_j ||P_perp(S+j) y||^2 == argmax_j |<d_j, r>| / ||P_perp(S) d_j||``
@@ -213,22 +215,31 @@ class GreedyPath:
             self.statistics.append(corr_max / self.residual_norms[i])
         return self.statistics[i]
 
+    def select(self, count: int) -> int:
+        """Add the count best-scoring columns of the current step, best first,
+        ties going to the lowest index; a column refused as inside the
+        selected span still uses its slot. Returns how many were added, 0 at
+        the residual floor or when no column is eligible."""
+        if self.residual_norms[-1] <= self.floor or (score := self.scores()) is None:
+            return 0
+        before = len(self.picks)
+        for _ in range(count):
+            j = int(np.argmax(score))
+            if score[j] < 0:
+                break
+            score[j] = -1.0
+            self.statistic(len(self.picks))
+            try:
+                self.add(j)
+            except RankDeficient:
+                pass
+        return len(self.picks) - before
+
     def grow(self, i: int) -> bool:
         """Make sure pick i exists; False when no column can extend step i or
         the path has reached the residual floor."""
         while len(self.picks) <= i and not self._exhausted:
-            if self.residual_norms[-1] <= self.floor:
-                break
-            self.statistic(len(self.picks))
-            score = self.scores()
-            if score is None:
-                self._exhausted = True
-                break
-            try:
-                self.add(int(np.argmax(score)))  # ties go to the lowest index
-            except RankDeficient:
-                self._exhausted = True
-                break
+            self._exhausted = self.select(1) == 0
         return len(self.picks) > i
 
     def fit(self, i: int) -> np.ndarray | None:
@@ -409,10 +420,10 @@ def run_mols(d, y, k: int, subset_size: int, steps: dict | None = None,
              factors: dict | None = None) -> RecoveryResult:
     """Multiple-selection OLS: the subset_size best candidates per iteration.
 
-    Candidates are ranked one-at-a-time against the current support by the
-    OLS criterion. Selection stops once k atoms are collected; the final
-    least-squares estimate is pruned to the k largest coefficients.
-    ``steps`` and ``factors`` are the caches of ``GreedyPath``.
+    A round is one ``GreedyPath.select(subset_size)`` on an OLS path. Rounds
+    stop once k atoms are collected, at the residual floor, or RankDeficient
+    when one adds no column; the final least-squares estimate is pruned to
+    the k largest coefficients. ``steps`` and ``factors`` are the path's caches.
     """
     if k < 0:
         raise InvalidParams(f"k must be >= 0, got {k}")
@@ -426,32 +437,18 @@ def run_mols(d, y, k: int, subset_size: int, steps: dict | None = None,
         )
     history = [path.residual_norms[0]]
     reason = StopReason.REACHED_KNOWN_K
-    rounds = 0
     while len(path.picks) < k:
-        if path.residual_norms[-1] <= path.floor:
-            reason = StopReason.RESIDUAL_BELOW_FLOOR
+        if not path.select(subset_size):
+            reason = (StopReason.RESIDUAL_BELOW_FLOOR if history[-1] <= path.floor
+                      else StopReason.RANK_DEFICIENT)
             break
-        score = path.scores()
-        if score is None:
-            reason = StopReason.RANK_DEFICIENT
-            break
-        order = np.argsort(-score, kind="stable")[:subset_size]
-        for j in order:
-            if score[j] < 0:
-                break
-            try:
-                path.add(int(j))
-            except RankDeficient:
-                continue
-        rounds += 1
         history.append(path.residual_norms[-1])
-    try:
-        full = least_squares_on_support(path.e, path.y, path.picks, factors)
-    except RankDeficient:
-        return RecoveryResult(np.zeros(n), [], rounds, history, StopReason.RANK_DEFICIENT)
+    full = path.fit(len(path.picks))
     x = np.zeros(n)
-    if k and path.picks:
+    if full is None:
+        reason = StopReason.RANK_DEFICIENT
+    elif k and path.picks:
         keep = np.argsort(np.abs(full))[-k:]
         x[keep] = full[keep]
     support = [int(i) for i in np.nonzero(x)[0]]
-    return RecoveryResult(x, support, rounds, history, reason)
+    return RecoveryResult(x, support, len(history) - 1, history, reason)

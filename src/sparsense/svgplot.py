@@ -40,6 +40,8 @@ def _ticks(lo: float, hi: float, count: int = 6) -> tuple[list[float], float]:
     out = []
     v = start
     while v <= hi + 1e-12 * span:
+        if v + step == v:  # a step below half an ulp of v never reaches hi
+            return [lo, hi], span
         out.append(round(v, 12))
         v += step
     return (out, step) if out else ([lo, hi], span)

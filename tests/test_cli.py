@@ -13,7 +13,9 @@ from sparsense.presets import SCALES
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args, env_seed=None):
+def run_cli(*args, env_seed=None, timeout=None):
+    """Run the CLI in a subprocess; past ``timeout`` seconds it is killed and
+    ``subprocess.TimeoutExpired`` fails the test."""
     import os
 
     env = dict(os.environ)
@@ -22,7 +24,7 @@ def run_cli(*args, env_seed=None):
         env["SPARSENSE_SEED"] = str(env_seed)
     return subprocess.run(
         [sys.executable, "-m", "sparsense.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -833,6 +835,62 @@ def test_plot_of_one_row_labels_adjacent_x_ticks_apart(tmp_path, x):
     values = [float(v) for v in labels]
     assert len(labels) >= 3 and values == sorted(set(values)), labels
     assert values == pytest.approx([float(x)] * len(values), rel=1e-12)
+
+
+X_TICK_LABEL = re.compile(r'y="474" text-anchor="middle" font-size="11" fill="#444">([^<]*)<')
+
+
+@pytest.mark.parametrize("command", [
+    "plot --csv C --out P",
+    "experiment --figure fig4 --set trials=1 --set omega_grid=1e16,10000000000000002 --out out",
+])
+def test_plot_of_an_x_span_below_half_an_ulp_per_tick_step_ends(tmp_path, command):
+    """x from 1e16 to 1e16 + 2 asks for a tick step of 0.5, which cannot move
+    a value of the axis: the ticks fall back to the axis ends instead of
+    looping forever."""
+    (tmp_path / "C").write_text(CSV_HEADER + "1e16,ols,0.5,0.1,3,10\n"
+                                "10000000000000002,ols,0.7,0.1,3,10\n")
+    args = [str(tmp_path / a) if a in ("C", "P", "out") else a for a in command.split()]
+    proc = run_cli(*args, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    svgs = [tmp_path / "P"] if command.startswith("plot") else [
+        tmp_path / "out" / f"fig4_{kind}.svg" for kind in ("prob", "mse")]
+    for svg in svgs:
+        labels = X_TICK_LABEL.findall(svg.read_text())
+        assert len(labels) >= 2 and len(set(labels)) == len(labels), labels
+
+
+def test_mols_ends_like_ols_when_the_top_candidate_duplicates_a_picked_column(tmp_path):
+    """Column 1 equals column 0 and y = d_0 + eps d_j. Once column 0 is
+    picked, column 1 can keep the top OLS score through rounding yet lies in
+    the selected span: OLS ends RankDeficient, and MOLS must end the same
+    way instead of retrying that round forever."""
+    from sparsense.matgen import MeasurementMatrix, save_matrix
+    from sparsense.recovery import GreedyPath
+
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        e = rng.standard_normal((16, 32))
+        e /= np.linalg.norm(e, axis=0)
+        e[:, 1] = e[:, 0]
+        j, eps = int(rng.integers(2, 32)), 10.0 ** rng.uniform(-11, -7)
+        mat = MeasurementMatrix(e)
+        y = mat.entries[:, 0] + eps * mat.entries[:, j]
+        path = GreedyPath(mat, y, "ols")
+        path.grow(0)
+        if path.picks == [0] and int(np.argmax(path.scores())) == 1:
+            break
+    else:
+        pytest.fail("no draw puts the duplicate column on top after the first pick")
+    save_matrix(mat, tmp_path / "M")
+    (tmp_path / "Y").write_text("\n".join(f"{v:.17g}" for v in y))
+    reasons = {}
+    for alg in (("ols",), ("mols", "--mols-subset", "1")):
+        proc = run_cli("recover", "--matrix", str(tmp_path / "M"), "--y", str(tmp_path / "Y"),
+                       "--k", "3", "--alg", *alg, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reasons[alg[0]] = json.loads(proc.stdout)["stop_reason"]
+    assert reasons == {"ols": "RankDeficient", "mols": "RankDeficient"}
 
 
 def test_memory_limit_refuses_a_matrix_before_allocating_it(monkeypatch):

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -356,7 +358,7 @@ def reference_mols(d, y, k: int, subset_size: int) -> RecoveryResult:
 
 
 @pytest.mark.parametrize("family", ["gaussian", "hybrid"])
-@pytest.mark.parametrize("subset_size", [2, 3])
+@pytest.mark.parametrize("subset_size", [1, 2, 3])
 def test_mols_matches_the_definitional_loop(family, subset_size):
     gen = gen_gaussian_normalized if family == "gaussian" else gen_hybrid_normalized
     k = 7
@@ -374,6 +376,41 @@ def test_mols_matches_the_definitional_loop(family, subset_size):
             np.testing.assert_allclose(got.x_hat, want.x_hat, rtol=1e-9, atol=0, err_msg=where)
             np.testing.assert_allclose(got.residual_norm_history, want.residual_norm_history,
                                        rtol=1e-9, err_msg=where)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once it has run for ``seconds``, so a
+    loop that never ends fails its test instead of stalling the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_mols_ends_rank_deficient_when_a_round_adds_no_column(monkeypatch):
+    def refuse(self, j):
+        raise RankDeficient(f"column {j} is numerically inside the selected span")
+
+    monkeypatch.setattr(recovery.GreedyPath, "add", refuse)
+    d = gen_gaussian_normalized(32, 64, seed=19)
+    spec = gen_sparse_spectrum(64, 4, 1.0, 0.01, stream(19, 2, 0))
+    y, _ = calibrate_noise(d, spec.x, 15.0, stream(19, 3, 0))
+    ols = run_ols_known_k(d, y, 4)
+    assert ols.stop_reason is StopReason.RANK_DEFICIENT
+    for subset_size in (1, 2):
+        with deadline(3):
+            res = run_mols(d, y, 4, subset_size)
+        assert res.stop_reason is ols.stop_reason, subset_size
+        assert res.iterations == 0 and res.support == [], subset_size
+        assert res.residual_norm_history == [float(np.linalg.norm(y))]
+        assert not res.x_hat.any()
 
 
 def test_mols_parameter_validation():
