@@ -25,7 +25,6 @@ from .errors import (
     MatrixFormatError,
     RankDeficient,
     SparsenseError,
-    ZeroResidual,
     ZeroSignal,
 )
 from .harness import (
@@ -37,14 +36,12 @@ from .harness import (
     component_snr,
     gen_sparse_spectrum,
     min_component_snr,
-    run_trial,
     sweep_omega,
     sweep_snr,
 )
-from .linalg import least_squares_on_support, projection_residual_norm_sq, residual
+from .linalg import least_squares_on_support
 from .matgen import (
     MeasurementMatrix,
-    coherence,
     export_csv,
     gen_gaussian_normalized,
     gen_hybrid_normalized,
@@ -55,8 +52,6 @@ from .recovery import (
     BlindStopParams,
     RecoveryResult,
     StopReason,
-    blind_stop_statistic,
-    ols_select,
     run_bols,
     run_bomp,
     run_cosamp,

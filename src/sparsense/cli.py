@@ -37,7 +37,7 @@ from .harness import (
 from .matgen import export_csv, load_matrix, save_matrix
 from .presets import FIGURES, SCALES, BoundSweep, figure_preset
 from .streams import check_seed
-from .svgplot import line_plot
+from .svgplot import _fmt, line_plot
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -289,8 +289,10 @@ def _write_outputs(out_dir: Path, label: str, rows, outcomes, meta, config):
     for alg in sorted(prob_series):
         pts = sorted(prob_series[alg])
         lo, hi = pts[0], pts[-1]
+        step = hi[0] - lo[0]  # grid labels take their digits from the span, as plot ticks do
+        at = [_fmt(v, step) if 0 < step < math.inf else f"{v:g}" for v in (lo[0], hi[0])]
         print(
-            f"{label}[{alg}]: P_rec {lo[1]:.3f} at {lo[0]:g} -> {hi[1]:.3f} at {hi[0]:g}, "
+            f"{label}[{alg}]: P_rec {lo[1]:.3f} at {at[0]} -> {hi[1]:.3f} at {at[1]}, "
             f"trials={config.trials}"
         )
 

@@ -24,10 +24,6 @@ class InfeasibleTarget(SparsenseError):
         )
 
 
-class ZeroResidual(SparsenseError):
-    """Residual is exactly zero; the stop statistic is undefined (treat as stop)."""
-
-
 class ZeroSignal(SparsenseError):
     """Cannot calibrate noise to a finite SNR for an all-zero signal."""
 

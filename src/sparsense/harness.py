@@ -284,21 +284,6 @@ def _trial_outcomes(
     return outcomes
 
 
-def run_trial(
-    d: MeasurementMatrix,
-    config: ExperimentConfig,
-    trial_index: int,
-    algorithm_id: str,
-    snr_db: float,
-    blind: BlindStopParams | None,
-    grid_value: float | None = None,
-) -> TrialOutcome:
-    """One (trial, algorithm) execution; the sweeps run all algorithms of a
-    trial together and give the same outcomes."""
-    grid = snr_db if grid_value is None else grid_value
-    return _trial_outcomes(d, config, trial_index, snr_db, [(grid, algorithm_id, blind)])[0]
-
-
 def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
     """The sweep's matrix; a shape, seed or offset out of range is a ConfigError, and
     a matrix larger than physical memory InvalidParams."""

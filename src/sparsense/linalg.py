@@ -1,7 +1,7 @@
-"""Least-squares solves on column subsets and projection residuals.
+"""Least-squares solves on column subsets.
 
-These are the inner kernels of every greedy algorithm here: fit y on a
-selected column subset, and measure what remains of y outside the subset's
+This is the inner kernel of every greedy algorithm here: fit y on a
+selected column subset, leaving the residual of y outside the subset's
 span. A support's columns E_S are factored by Householder QR, E_S = QR, and
 only the k x k R^-1 is kept: it does not depend on y, so a sweep caches it
 per trial in ``factors``, keyed by the ordered support tuple. y is solved by
@@ -86,27 +86,3 @@ def least_squares_on_support(d, y, support: Sequence[int], factors=None) -> np.n
     if sup:
         x[sup] = _solve_on_support(e, y, sup, factors)
     return x
-
-
-def projection_residual_norm_sq(d, y, support: Sequence[int]) -> float:
-    """Squared norm of y minus its orthogonal projection onto the support columns."""
-    e = _entries(d)
-    y = np.asarray(y, dtype=np.float64)
-    sup = check_support(support, e.shape[1])
-    if not sup:
-        return float(y @ y)
-    coef = _solve_on_support(e, y, sup, None)
-    r = y - e[:, sup] @ coef
-    return float(r @ r)
-
-
-def residual(d, y, x_hat) -> np.ndarray:
-    """Exact vector difference y - D @ x_hat."""
-    e = _entries(d)
-    y = np.asarray(y, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if y.shape != (e.shape[0],):
-        raise ValueError(f"y has shape {y.shape}, expected ({e.shape[0]},)")
-    if x_hat.shape != (e.shape[1],):
-        raise ValueError(f"x_hat has shape {x_hat.shape}, expected ({e.shape[1]},)")
-    return y - e @ x_hat

@@ -114,11 +114,6 @@ def _coherence_of(entries: np.ndarray) -> float:
                         for s, t, u in rescan))  # unit columns: Cauchy-Schwarz
 
 
-def coherence(matrix: MeasurementMatrix) -> float:
-    """Coherence of a unit-column matrix, cached on the matrix."""
-    return matrix.coherence
-
-
 def check_shape(m: int, n: int):
     """Refuse a shape before anything is allocated: one numpy cannot size or with
     M > N (ValueError), or one whose 8·M·N bytes exceed physical memory (InvalidParams)."""

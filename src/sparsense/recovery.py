@@ -41,8 +41,8 @@ from enum import Enum
 import numpy as np
 
 from .bounds import reconstructible_sparsity
-from .errors import InvalidParams, RankDeficient, ZeroResidual
-from .linalg import _entries, check_support, least_squares_on_support
+from .errors import InvalidParams, RankDeficient
+from .linalg import _entries, least_squares_on_support
 
 RESIDUAL_FLOOR_REL = 1e-12  # residual below this fraction of ||y|| stops every algorithm
 SPAN_TOL = 1e-12            # candidates with ||P_perp d_j|| below this are ineligible
@@ -100,16 +100,6 @@ class BlindStopParams:
             return self.max_iterations
         ceil_c = math.ceil(reconstructible_sparsity(self.mu))
         return min(m, max(2 * ceil_c, BLIND_CAP_FLOOR))
-
-
-def blind_stop_statistic(d, r) -> float:
-    """max_j |<d_j, r>| divided by ||r||; raises ZeroResidual on a vanished residual."""
-    e = _entries(d)
-    r = np.asarray(r, dtype=np.float64)
-    rnorm = float(np.linalg.norm(r))
-    if rnorm < 1e-300:
-        raise ZeroResidual("residual norm is numerically zero")
-    return float(np.abs(e.T @ r).max()) / rnorm
 
 
 _RULES = ("ols", "omp")
@@ -253,21 +243,6 @@ class GreedyPath:
                 self._fits[i] = None
         x = self._fits[i]
         return None if x is None else x.copy()
-
-
-def ols_select(d, y, support) -> int:
-    """Unselected index minimizing the projection residual after augmentation."""
-    path = GreedyPath(d, y, "ols")
-    m, n = path.e.shape
-    sup = check_support(support, n)
-    if len(sup) >= m:
-        raise RankDeficient(f"support size {len(sup)} leaves no room in {m} rows")
-    for j in sup:
-        path.add(j)
-    score = path.scores()
-    if score is None:
-        raise RankDeficient("every remaining column lies in the selected span")
-    return int(np.argmax(score))
 
 
 def _stop_at(path: GreedyPath, i: int, threshold, known_k, cap) -> StopReason | None:

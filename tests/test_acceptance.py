@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from oracles import ols_select, projection_residual_norm_sq, residual
 from sparsense.bounds import (
     BoundParams,
     mapping_factor_lower,
@@ -39,10 +40,9 @@ from sparsense.harness import (
     sweep_omega,
     sweep_snr,
 )
-from sparsense.linalg import projection_residual_norm_sq, residual
 from sparsense.matgen import gen_gaussian_normalized
 from sparsense.presets import REFERENCE_MUS, figure_preset
-from sparsense.recovery import ols_select, run_ols_known_k
+from sparsense.recovery import run_ols_known_k
 from sparsense.streams import stream
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import projection_residual_norm_sq
 from sparsense.bounds import (
     BoundParams,
     concentration_terms,
@@ -22,7 +23,6 @@ from sparsense.bounds import (
     snr_min_requirement,
 )
 from sparsense.errors import InfeasibleParams, InfeasibleTarget
-from sparsense.linalg import projection_residual_norm_sq
 from sparsense.matgen import gen_gaussian_normalized
 
 

@@ -182,6 +182,7 @@ def test_recover_omega_star_sets_the_threshold_scale(feasible_matrix_file):
 
 
 def test_recover_synthesizes_sweep_trial_zero(matrix_file, monkeypatch):
+    from oracles import run_trial
     from sparsense import harness
     from sparsense.matgen import load_matrix
     from sparsense.recovery import run_ols_known_k
@@ -195,7 +196,7 @@ def test_recover_synthesizes_sweep_trial_zero(matrix_file, monkeypatch):
     monkeypatch.setattr(harness, "calibrate_noise",
                         lambda *a, **kw: drawn.setdefault("noisy", noise(*a, **kw)))
     config = harness.ExperimentConfig(m=mat.m, n=mat.n, k=4, base_seed=11)
-    harness.run_trial(mat, config, 0, "ols", 15.0, None)
+    run_trial(mat, config, 0, "ols", 15.0, None)
     monkeypatch.undo()
     proc = run_cli("recover", "--matrix", str(path), "--alg", "ols", "--k", "4",
                    "--k-true", "4", "--snr", "15", "--seed", "11")
@@ -858,6 +859,22 @@ def test_plot_of_an_x_span_below_half_an_ulp_per_tick_step_ends(tmp_path, comman
     for svg in svgs:
         labels = X_TICK_LABEL.findall(svg.read_text())
         assert len(labels) >= 2 and len(set(labels)) == len(labels), labels
+
+
+@pytest.mark.parametrize("figure, grid, ends", [
+    ("fig4", "omega_grid=1e16,10000000000000002", ("10000000000000000", "10000000000000002")),
+    ("fig4", "omega_grid=0.5", ("0.5", "0.5")),
+    ("fig3", "snr_grid_db=10,inf", ("10", "inf")),
+])
+def test_experiment_summary_prints_grid_ends_apart(tmp_path, figure, grid, ends):
+    """The summary line gives the grid ends as many digits as their distance
+    needs; a single-point grid or a non-finite end keeps %g."""
+    proc = run_cli("experiment", "--figure", figure, "--set", "trials=1", "--set", grid,
+                   "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(re.search(r" at (\S+) -> \S+ at (\S+),", line).groups() == ends
+                         for line in lines), lines
 
 
 def test_mols_ends_like_ols_when_the_top_candidate_duplicates_a_picked_column(tmp_path):

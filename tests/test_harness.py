@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import run_trial
 from sparsense.errors import ConfigError, InvalidParams, ZeroSignal
 from sparsense.harness import (
     CSV_HEADER,
@@ -20,7 +21,6 @@ from sparsense.harness import (
     outcomes_to_jsonl,
     parse_config_text,
     rows_to_csv,
-    run_trial,
     sweep_omega,
     sweep_snr,
 )

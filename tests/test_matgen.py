@@ -12,7 +12,6 @@ from sparsense.matgen import (
     _COH_BLOCK,
     MAGIC,
     MeasurementMatrix,
-    coherence,
     export_csv,
     gen_gaussian_normalized,
     gen_hybrid_normalized,
@@ -323,7 +322,7 @@ def test_save_load_roundtrip(tmp_path, monkeypatch):
     back = load_matrix(path)
     assert back.m == 12 and back.n == 20
     assert np.array_equal(back.entries, mat.entries)
-    assert coherence(back) == coherence(mat)
+    assert back.coherence == mat.coherence
 
 
 def test_save_writes_the_payload_without_copying_it(tmp_path):

@@ -5,6 +5,7 @@ the step cache that a trial's paths share across its SNR grid."""
 import numpy as np
 import pytest
 
+from oracles import projection_residual_norm_sq, run_trial
 from sparsense.errors import InvalidParams, RankDeficient
 from sparsense.harness import (
     ExperimentConfig,
@@ -14,11 +15,10 @@ from sparsense.harness import (
     gen_sparse_spectrum,
     outcomes_to_jsonl,
     rows_to_csv,
-    run_trial,
     sweep_omega,
     sweep_snr,
 )
-from sparsense.linalg import least_squares_on_support, projection_residual_norm_sq
+from sparsense.linalg import least_squares_on_support
 from sparsense.matgen import gen_gaussian_normalized, gen_hybrid_normalized
 from sparsense.recovery import (
     BlindStopParams,

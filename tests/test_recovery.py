@@ -5,18 +5,18 @@ import signal
 import numpy as np
 import pytest
 
+from oracles import ols_select, projection_residual_norm_sq
 from sparsense import recovery
-from sparsense.errors import InvalidParams, RankDeficient, ZeroResidual
+from sparsense.errors import InvalidParams, RankDeficient
 from sparsense.harness import calibrate_noise, gen_sparse_spectrum
-from sparsense.linalg import _entries, least_squares_on_support, projection_residual_norm_sq
+from sparsense.linalg import _entries, least_squares_on_support
 from sparsense.matgen import gen_gaussian_normalized, gen_hybrid_normalized
 from sparsense.recovery import (
     RESIDUAL_FLOOR_REL,
     BlindStopParams,
+    GreedyPath,
     RecoveryResult,
     StopReason,
-    blind_stop_statistic,
-    ols_select,
     run_bols,
     run_bomp,
     run_cosamp,
@@ -62,13 +62,13 @@ def noiseless_instance(m, n, k, seed):
 
 def test_statistic_self_correlation_at_least_one():
     d = gen_gaussian_normalized(8, 16, seed=0)
-    assert blind_stop_statistic(d, d.entries[:, 3].copy()) >= 1.0 - 1e-12
+    assert GreedyPath(d, d.entries[:, 3].copy(), "omp").statistic(0) >= 1.0 - 1e-12
 
 
 def test_statistic_orthogonal_residual_is_zero():
     e = np.eye(4)[:, :3]  # columns e1, e2, e3 in R^4
     r = np.array([0.0, 0.0, 0.0, 1.0])
-    assert blind_stop_statistic(e, r) == 0.0
+    assert GreedyPath(e, r, "omp").statistic(0) == 0.0
 
 
 def test_statistic_matches_exhaustive_loop():
@@ -76,13 +76,27 @@ def test_statistic_matches_exhaustive_loop():
     r = np.random.default_rng(2).standard_normal(8)
     expect = max(abs(float(d.entries[:, j] @ r)) for j in range(16))
     expect /= float(np.linalg.norm(r))
-    assert blind_stop_statistic(d, r) == pytest.approx(expect, rel=1e-12)
+    assert GreedyPath(d, r, "omp").statistic(0) == pytest.approx(expect, rel=1e-12)
 
 
-def test_statistic_zero_residual_raises():
+def test_zero_measurement_stops_every_algorithm_on_the_residual_floor():
+    # the statistic is undefined on a zero residual; no algorithm reaches it
     d = gen_gaussian_normalized(8, 16, seed=1)
-    with pytest.raises(ZeroResidual):
-        blind_stop_statistic(d, np.zeros(8))
+    y = np.zeros(8)
+    blind = BlindStopParams(omega_star=1.0, mu=d.coherence)
+    results = {
+        "bols": run_bols(d, y, blind),
+        "bomp": run_bomp(d, y, blind),
+        "ols": run_ols_known_k(d, y, 2),
+        "omp": run_omp_known_k(d, y, 2),
+        "cosamp": run_cosamp(d, y, 2),
+        "mols": run_mols(d, y, 2, 2),
+    }
+    for alg, res in results.items():
+        assert res.stop_reason is StopReason.RESIDUAL_BELOW_FLOOR, alg
+        assert not res.x_hat.any() and res.support == [], alg
+        # CoSaMP checks its floor after its first iteration, the others before any
+        assert res.iterations == (1 if alg == "cosamp" else 0), alg
 
 
 # ----------------------------------------------------------------------- selection
