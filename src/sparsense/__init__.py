@@ -36,8 +36,7 @@ from .harness import (
     component_snr,
     gen_sparse_spectrum,
     min_component_snr,
-    sweep_omega,
-    sweep_snr,
+    sweep,
 )
 from .linalg import least_squares_on_support
 from .matgen import (

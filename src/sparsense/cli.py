@@ -31,8 +31,7 @@ from .harness import (
     load_config,
     outcomes_to_jsonl,
     rows_to_csv,
-    sweep_omega,
-    sweep_snr,
+    sweep,
 )
 from .matgen import export_csv, load_matrix, save_matrix
 from .presets import FIGURES, SCALES, BoundSweep, figure_preset
@@ -339,10 +338,7 @@ def _cmd_experiment(args) -> int:
     seed = [] if args.seed is None else [f"base_seed={_seed(args.seed)}"]
     sweeps = [(label, apply_overrides(config, args.set + seed)) for label, config in sweeps]
     for label, config in sweeps:  # every sweep's overrides are checked before any runs
-        if config.omega_grid:
-            rows, outcomes, meta = sweep_omega(config, config.omega_grid, threads=args.threads)
-        else:
-            rows, outcomes, meta = sweep_snr(config, threads=args.threads)
+        rows, outcomes, meta = sweep(config, threads=args.threads)
         _write_outputs(out_dir, label, rows, outcomes, meta, config)
     return 0
 

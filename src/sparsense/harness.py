@@ -137,7 +137,6 @@ class TrialOutcome:
     success: bool
     exact_support: bool
     mse_contrib: float
-    rel_error: float
     iterations: int
     stop_reason: str
 
@@ -277,7 +276,6 @@ def _trial_outcomes(
             success=rel <= config.success_tolerance,
             exact_support=sorted(int(i) for i in np.nonzero(x_hat)[0]) == spec.support,
             mse_contrib=err * err / config.n,
-            rel_error=rel,
             iterations=iterations,
             stop_reason=stop_reason,
         ))
@@ -295,14 +293,6 @@ def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _sweep_matrix(config: ExperimentConfig, threads: int) -> MeasurementMatrix:
-    """The sweep's matrix, built once its config and thread count pass their checks."""
-    config.validate()
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    return build_matrix(config)
 
 
 def blind_params_for(config: ExperimentConfig, mu: float,
@@ -386,44 +376,34 @@ def aggregate(outcomes: list[TrialOutcome], trials: int) -> list[MetricsRow]:
     return rows
 
 
-def sweep_snr(
+def sweep(
     config: ExperimentConfig, threads: int = 1
 ) -> tuple[list[MetricsRow], list[TrialOutcome], dict]:
-    """SNR sweep: one MetricsRow per (snr grid point, algorithm)."""
-    d = _sweep_matrix(config, threads)
+    """One MetricsRow per (grid point, algorithm). A nonempty ``omega_grid``
+    is swept at the first SNR with the blind threshold omega * mu directly (no
+    rho subtraction), so the grid axis is the raw threshold scale; otherwise
+    the grid is ``snr_grid_db``, at the threshold ``blind_params_for`` calibrates."""
+    config.validate()
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    d = build_matrix(config)
     meta: dict = {"sweep": "snr", "config": config_to_dict(config)}
-    blind = None
-    if any(a in BLIND for a in config.algorithms):
-        blind, blind_meta = blind_params_for(config, d.coherence)
-        meta.update(blind_meta)
-    points = [(snr_db, [(snr_db, alg, blind) for alg in config.algorithms])
-              for snr_db in config.snr_grid_db]
+    if config.omega_grid:
+        snr_db = config.snr_grid_db[0]
+        meta.update(sweep="omega", snr_db=_json_grid(snr_db), mu=d.coherence)
+        runs = []
+        for omega in config.omega_grid:
+            blind, _ = blind_params_for(config, meta["mu"], omega)
+            runs += [(omega, alg, blind if alg in BLIND else None) for alg in config.algorithms]
+        points = [(snr_db, runs)]
+    else:
+        blind = None
+        if any(a in BLIND for a in config.algorithms):
+            blind, blind_meta = blind_params_for(config, d.coherence)
+            meta.update(blind_meta)
+        points = [(snr_db, [(snr_db, alg, blind) for alg in config.algorithms])
+                  for snr_db in config.snr_grid_db]
     outcomes = _collect(d, config, points, threads)
-    return aggregate(outcomes, config.trials), outcomes, meta
-
-
-def sweep_omega(
-    config: ExperimentConfig, omega_grid, threads: int = 1
-) -> tuple[list[MetricsRow], list[TrialOutcome], dict]:
-    """Omega sweep at a fixed SNR: the blind threshold is omega * mu directly
-    (no rho subtraction), so the grid axis is the raw threshold scale."""
-    if not omega_grid:
-        raise ConfigError("omega grid must be nonempty")
-    d = _sweep_matrix(config, threads)
-    snr_db = config.snr_grid_db[0]
-    mu = d.coherence
-    meta = {
-        "sweep": "omega",
-        "snr_db": _json_grid(snr_db),
-        "mu": mu,
-        "config": config_to_dict(config),
-    }
-    runs = []
-    for omega in omega_grid:
-        blind, _ = blind_params_for(config, mu, omega)
-        for alg in config.algorithms:
-            runs.append((omega, alg, blind if alg in BLIND else None))
-    outcomes = _collect(d, config, [(snr_db, runs)], threads)
     return aggregate(outcomes, config.trials), outcomes, meta
 
 

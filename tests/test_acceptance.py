@@ -37,8 +37,7 @@ from sparsense.harness import (
     blind_params_for,
     outcomes_to_jsonl,
     rows_to_csv,
-    sweep_omega,
-    sweep_snr,
+    sweep,
 )
 from sparsense.matgen import gen_gaussian_normalized
 from sparsense.presets import REFERENCE_MUS, figure_preset
@@ -162,8 +161,8 @@ def test_criterion_3_threshold_calibration():
 
     # the calibrated threshold must sit on the measured omega plateau
     interior = (1.3, 1.6, 2.0, 2.4)
-    rows, _, _ = sweep_omega(
-        replace(fig4, algorithms=("bols",)), (blind.omega_star, *interior), threads=1
+    rows, _, _ = sweep(
+        replace(fig4, algorithms=("bols",), omega_grid=(blind.omega_star, *interior)), threads=1
     )
     prob = {r.grid: r.prob_recovery for r in rows}
     plateau = float(np.mean([prob[g] for g in interior]))
@@ -206,7 +205,7 @@ def test_criterion_4_snr_floor_monotetone_in_coherence():
 def test_criterion_5_parity_with_known_k_on_gaussian():
     cfg = figure_preset("fig3", "desk")[0][1]
     assert (cfg.m, cfg.n, cfg.k, cfg.trials) == (256, 512, 4, 300)
-    rows, _, _ = sweep_snr(cfg, threads=2)
+    rows, _, _ = sweep(cfg, threads=2)
     by_alg = {}
     for r in rows:
         by_alg.setdefault(r.algorithm, {})[r.grid] = r
@@ -249,7 +248,7 @@ def _hybrid_rows(k: int):
     cfg = figure_preset("fig5", "desk")[0][1] if k == 8 else figure_preset("fig5", "desk")[1][1]
     assert cfg.k == k and cfg.trials == 300
     cfg = replace(cfg, snr_grid_db=ACCEPT_HYBRID_GRID)
-    rows, _, _ = sweep_snr(cfg, threads=2)
+    rows, _, _ = sweep(cfg, threads=2)
     by_alg = {}
     for r in rows:
         by_alg.setdefault(r.algorithm, {})[r.grid] = r.prob_recovery
@@ -412,8 +411,8 @@ def test_criterion_7f_thread_count_determinism():
         family="gaussian", m=64, n=128, k=3, snr_grid_db=(5.0, 15.0),
         algorithms=("bols", "ols", "cosamp"), trials=20, base_seed=321, p_min=0.15,
     ).validate()
-    r1, o1, _ = sweep_snr(cfg, threads=1)
-    r4, o4, _ = sweep_snr(cfg, threads=4)
+    r1, o1, _ = sweep(cfg, threads=1)
+    r4, o4, _ = sweep(cfg, threads=4)
     ok = rows_to_csv(r1) == rows_to_csv(r4) and \
         outcomes_to_jsonl(o1, cfg) == outcomes_to_jsonl(o4, cfg)
     assert verdict("7f thread-determinism", ok, "CSV and JSONL byte-identical for 1 vs 4 workers")

@@ -21,8 +21,7 @@ from sparsense.harness import (
     outcomes_to_jsonl,
     parse_config_text,
     rows_to_csv,
-    sweep_omega,
-    sweep_snr,
+    sweep,
 )
 from sparsense.matgen import gen_gaussian_normalized
 from sparsense.recovery import BlindStopParams, run_ols_known_k
@@ -167,7 +166,7 @@ def test_trial_repeatable():
 
 def test_sweep_single_point_single_trial():
     cfg = small_config(trials=1, algorithms=("ols",))
-    rows, outcomes, _ = sweep_snr(cfg, threads=1)
+    rows, outcomes, _ = sweep(cfg, threads=1)
     assert len(rows) == 1
     assert rows[0].prob_recovery in (0.0, 1.0)
     assert rows[0].trials == 1
@@ -176,7 +175,7 @@ def test_sweep_single_point_single_trial():
 
 def test_sweep_rows_sorted_and_counted():
     cfg = small_config(snr_grid_db=(10.0, 0.0, 20.0), algorithms=("ols", "bols"))
-    rows, outcomes, meta = sweep_snr(cfg, threads=2)
+    rows, outcomes, meta = sweep(cfg, threads=2)
     keys = [(r.grid, r.algorithm) for r in rows]
     assert keys == sorted(keys)
     assert len(rows) == 6
@@ -187,8 +186,8 @@ def test_sweep_rows_sorted_and_counted():
 
 def test_sweep_thread_count_does_not_change_output():
     cfg = small_config(snr_grid_db=(5.0, 15.0))
-    r1, o1, _ = sweep_snr(cfg, threads=1)
-    r3, o3, _ = sweep_snr(cfg, threads=3)
+    r1, o1, _ = sweep(cfg, threads=1)
+    r3, o3, _ = sweep(cfg, threads=3)
     assert rows_to_csv(r1) == rows_to_csv(r3)
     assert outcomes_to_jsonl(o1, cfg) == outcomes_to_jsonl(o3, cfg)
 
@@ -200,14 +199,14 @@ def test_thread_count_is_checked_before_the_matrix_is_built(monkeypatch):
     monkeypatch.setattr("sparsense.harness.build_matrix", refuse)
     for threads in (0, -3):
         with pytest.raises(ConfigError, match="threads"):
-            sweep_snr(small_config(), threads=threads)
+            sweep(small_config(), threads=threads)
         with pytest.raises(ConfigError, match="threads"):
-            sweep_omega(small_config(), (1.0, 1.5), threads=threads)
+            sweep(replace(small_config(), omega_grid=(1.0, 1.5)), threads=threads)
 
 
 def test_jsonl_recount_matches_rows():
     cfg = small_config(snr_grid_db=(5.0, 25.0))
-    rows, outcomes, _ = sweep_snr(cfg, threads=2)
+    rows, outcomes, _ = sweep(cfg, threads=2)
     recount: dict[tuple, list] = {}
     for line in outcomes_to_jsonl(outcomes, cfg).strip().splitlines():
         rec = json.loads(line)
@@ -219,7 +218,7 @@ def test_jsonl_recount_matches_rows():
 
 def test_jsonl_record_fields():
     cfg = small_config(trials=2, algorithms=("ols",))
-    _, outcomes, _ = sweep_snr(cfg, threads=1)
+    _, outcomes, _ = sweep(cfg, threads=1)
     rec = json.loads(outcomes_to_jsonl(outcomes, cfg).splitlines()[0])
     for key in ("algorithm", "seed", "K", "M", "N", "snr_db", "success",
                 "mse_contrib", "iterations", "stop_reason", "exact_support"):
@@ -228,7 +227,7 @@ def test_jsonl_record_fields():
 
 def test_csv_header_and_shape():
     cfg = small_config(trials=2, algorithms=("ols",))
-    rows, _, _ = sweep_snr(cfg, threads=1)
+    rows, _, _ = sweep(cfg, threads=1)
     text = rows_to_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == CSV_HEADER == "grid,algorithm,prob_recovery,mse,mean_iterations,trials"
@@ -237,9 +236,21 @@ def test_csv_header_and_shape():
 
 def test_sweep_omega_uses_raw_threshold():
     cfg = small_config(snr_grid_db=(25.0,), algorithms=("bols",), trials=4)
-    rows, _, meta = sweep_omega(cfg, (0.25, 2.0), threads=1)
+    rows, _, meta = sweep(replace(cfg, omega_grid=(0.25, 2.0)), threads=1)
     assert [r.grid for r in rows] == [0.25, 2.0]
     assert meta["sweep"] == "omega" and meta["snr_db"] == 25.0
+    assert meta["config"]["omega_grid"] == [0.25, 2.0]
+
+
+def test_snr_sweep_without_a_blind_algorithm_never_computes_the_coherence(monkeypatch):
+    from sparsense import matgen
+
+    def refuse(entries):
+        raise AssertionError("computed the coherence for a sweep with no blind algorithm")
+
+    monkeypatch.setattr(matgen, "_coherence_of", refuse)
+    rows, _, meta = sweep(small_config(trials=2, algorithms=("ols", "cosamp", "mols")), threads=1)
+    assert len(rows) == 3 and "mu" not in meta
 
 
 @pytest.mark.parametrize("w", [0.0, 0.8, 1.3])
@@ -254,7 +265,8 @@ def test_blind_params_for_an_explicit_omega_star_skips_the_inversion(monkeypatch
     assert blind == BlindStopParams(w, 0.3)
     assert blind.threshold == w * 0.3 == meta["stop_threshold"]
     assert meta == {"mu": 0.3, "omega_star": w, "stop_threshold": w * 0.3}
-    rows, _, _ = sweep_omega(small_config(trials=2, snr_grid_db=(25.0,)), (w,), threads=1)
+    cfg = small_config(trials=2, snr_grid_db=(25.0,))
+    rows, _, _ = sweep(replace(cfg, omega_grid=(w,)), threads=1)
     assert [r.grid for r in rows] == [w, w]
 
 
@@ -265,14 +277,14 @@ def test_blind_params_for_refuses_a_negative_omega_star():
 
 def test_mse_vanishes_at_infinite_snr():
     cfg = small_config(snr_grid_db=(float("inf"),), algorithms=("ols", "omp"), trials=6)
-    rows, _, _ = sweep_snr(cfg, threads=1)
+    rows, _, _ = sweep(cfg, threads=1)
     for row in rows:
         assert row.mse <= 1e-12
 
 
 def test_omega_sweep_at_the_noiseless_point_writes_inf_as_a_string():
     cfg = small_config(snr_grid_db=(math.inf,), algorithms=("bols",), trials=2)
-    _, outcomes, meta = sweep_omega(cfg, (1.0, 2.0), threads=1)
+    _, outcomes, meta = sweep(replace(cfg, omega_grid=(1.0, 2.0)), threads=1)
     assert meta["snr_db"] == "inf" and meta["config"]["snr_grid_db"] == ["inf"]
 
     def refuse(token):
@@ -394,7 +406,7 @@ def test_omega_sweep_plateau_at_reference_scale():
         algorithms=("bols",), trials=60, base_seed=410,
     ).validate()
     grid = (1.3, 1.6, 2.0, 2.4)
-    rows, _, _ = sweep_omega(cfg, grid, threads=2)
+    rows, _, _ = sweep(replace(cfg, omega_grid=grid), threads=2)
     values = {r.grid: r.prob_recovery for r in rows}
     interior = np.mean([values[g] for g in grid])
     for g in grid:

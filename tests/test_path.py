@@ -2,6 +2,8 @@
 that synthesize each trial once and read every algorithm from its path, and
 the step cache that a trial's paths share across its SNR grid."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,7 @@ from sparsense.harness import (
     gen_sparse_spectrum,
     outcomes_to_jsonl,
     rows_to_csv,
-    sweep_omega,
-    sweep_snr,
+    sweep,
 )
 from sparsense.linalg import least_squares_on_support
 from sparsense.matgen import gen_gaussian_normalized, gen_hybrid_normalized
@@ -138,7 +139,7 @@ def by_key(outcomes):
 
 def test_sweep_snr_equals_per_algorithm_trials():
     cfg = tiny_config()
-    _, outcomes, _ = sweep_snr(cfg, threads=1)
+    _, outcomes, _ = sweep(cfg, threads=1)
     d = build_matrix(cfg)
     blind, _ = blind_params_for(cfg, d.coherence)
     expect = []
@@ -152,7 +153,7 @@ def test_sweep_snr_equals_per_algorithm_trials():
 def test_sweep_omega_equals_per_algorithm_trials():
     cfg = tiny_config(snr_grid_db=(40.0,))
     grid = (0.2, 0.6, 1.4)
-    _, outcomes, _ = sweep_omega(cfg, grid, threads=2)
+    _, outcomes, _ = sweep(replace(cfg, omega_grid=grid), threads=2)
     d = build_matrix(cfg)
     expect = []
     for omega in grid:
@@ -194,7 +195,7 @@ def test_registry_runners_call_the_patched_module_functions(monkeypatch):
     for name in calls:
         monkeypatch.setattr(harness, name, counting(name))
     cfg = tiny_config()
-    sweep_snr(cfg, threads=1)
+    sweep(cfg, threads=1)
     per_point = cfg.trials * len(cfg.snr_grid_db)
     assert calls == {"run_cosamp": per_point, "run_bols": per_point}
 
@@ -215,7 +216,7 @@ def test_each_cut_step_is_fitted_once_per_trial_and_rule(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(GreedyPath, "fit", refit_every_cut)
-        _, per_cut, _ = sweep_omega(cfg, grid, threads=1)
+        _, per_cut, _ = sweep(replace(cfg, omega_grid=grid), threads=1)
 
     calls = []
 
@@ -224,7 +225,7 @@ def test_each_cut_step_is_fitted_once_per_trial_and_rule(monkeypatch):
         return original(e, y, support, *factors)
 
     monkeypatch.setattr(recovery, "least_squares_on_support", counting)
-    _, outcomes, _ = sweep_omega(cfg, grid, threads=1)
+    _, outcomes, _ = sweep(replace(cfg, omega_grid=grid), threads=1)
     assert by_key(outcomes) == by_key(per_cut)
     rule = {"bols": "ols", "ols": "ols", "bomp": "omp", "omp": "omp"}
     steps = {(o.trial_index, rule[o.algorithm], o.iterations) for o in outcomes}
@@ -248,10 +249,10 @@ def test_a_sweep_with_the_factor_cache_equals_one_factoring_every_solve_afresh(m
         return original(e, y, support, {})  # a throwaway cache for every solve
 
     monkeypatch.setattr(linalg, "_r_inverse", counted_factor)
-    cached_rows, cached, _ = sweep_snr(cfg, threads=1)
+    cached_rows, cached, _ = sweep(cfg, threads=1)
     cached_factors = len(factored)
     monkeypatch.setattr(recovery, "least_squares_on_support", afresh)
-    fresh_rows, fresh, _ = sweep_snr(cfg, threads=1)
+    fresh_rows, fresh, _ = sweep(cfg, threads=1)
     assert rows_to_csv(cached_rows) == rows_to_csv(fresh_rows)
     assert outcomes_to_jsonl(cached, cfg) == outcomes_to_jsonl(fresh, cfg)
     assert 0 < cached_factors < len(factored) - cached_factors  # the cache was hit
@@ -370,7 +371,7 @@ def test_each_pick_prefix_is_orthogonalized_once_per_trial(monkeypatch):
     import sparsense.harness as harness
 
     cfg = tiny_config(snr_grid_db=(30.0, 40.0, 50.0, 60.0, float("inf")))
-    _, plain, _ = sweep_snr(cfg, threads=1)
+    _, plain, _ = sweep(cfg, threads=1)
 
     def counted_matrix(config):
         d = build_matrix(config)
@@ -394,7 +395,7 @@ def test_each_pick_prefix_is_orthogonalized_once_per_trial(monkeypatch):
     monkeypatch.setattr(harness, "_synthesize", synthesizing)
     monkeypatch.setattr(GreedyPath, "add", adding)
     CountingEntries.products = 0
-    _, outcomes, _ = sweep_snr(cfg, threads=1)
+    _, outcomes, _ = sweep(cfg, threads=1)
     assert by_key(outcomes) == by_key(plain)
     assert CountingEntries.products == len(set(prefixes)) < len(prefixes)
 
