@@ -160,34 +160,41 @@ def _cmd_recover(args) -> int:
 
 # -------------------------------------------------------------------------- bounds
 
-def _mapping_rows(m: int, mu: float, rho: float, k_lo: int, k_hi: int):
-    bounds.BoundParams(m=m, n=m, mu=mu, rho=rho)  # refuses a bad mu or rho; no bound here reads N
-    rows = []
-    for k in bounds.sparsity_levels(k_lo, k_hi, m):
-        cells = []
-        for fn in (
-            lambda: bounds.mapping_factor_lower(k, m, mu, rho),
-            lambda: bounds.mapping_factor_lower_quadratic(k, mu),
-            lambda: bounds.mapping_factor_lower_linear(k, mu),
-        ):
+def _bound_table(sweep: BoundSweep, mu):
+    """Header and rows, as CSV cells, of a closed-form sweep at coherence mu:
+    per K the mapping-factor ("k") or singular-value ("sv") bounds, or per
+    target probability the SNR floors ("pmin")."""
+    m, rho, rows = sweep.m, sweep.rho, []
+    header = {
+        "k": "k,mapping_lower_probabilistic,mapping_lower_quadratic,mapping_lower_linear",
+        "sv": "k,singular_lower,singular_upper,prob_floor",
+        "pmin": "p_min,omega,snr_floor_selection,snr_floor_continuation,snr_min,snr_min_db",
+    }[sweep.kind].split(",")
+    if sweep.kind == "pmin":
+        params = bounds.BoundParams(m=m, n=sweep.n, mu=mu, rho=rho, k=sweep.k)
+        for p_min in sweep.pmin_grid:
+            omega = bounds.omega_for_probability(p_min, params)
+            floor = bounds.snr_min_requirement(params, omega)
+            rows.append([f"{v:.17g}" for v in (
+                p_min, omega, bounds.snr_floor_selection(params, omega),
+                bounds.snr_floor_continuation(params, omega), floor, 10.0 * math.log10(floor))])
+        return header, rows
+    if sweep.kind == "k":  # refuses a bad mu or rho; no bound here reads N
+        bounds.BoundParams(m=m, n=m, mu=mu, rho=rho)
+    for k in bounds.sparsity_levels(*sweep.k_range, m):
+        if sweep.kind == "sv":
+            rows.append([str(k), *(f"{v:.17g}" for v in bounds.singular_value_bounds(k, m, rho))])
+            continue
+        cells = [str(k)]
+        for fn in (lambda: bounds.mapping_factor_lower(k, m, mu, rho),
+                   lambda: bounds.mapping_factor_lower_quadratic(k, mu),
+                   lambda: bounds.mapping_factor_lower_linear(k, mu)):
             try:
                 cells.append(f"{fn():.17g}")
-            except SparsenseError:
+            except SparsenseError:  # this bound has no value at this K
                 cells.append("")
-        rows.append((k, cells))
-    return rows
-
-
-def _snr_rows(m: int, n: int, mu: float, k: int, rho: float, grid):
-    params = bounds.BoundParams(m=m, n=n, mu=mu, rho=rho, k=k)
-    rows = []
-    for p_min in grid:
-        omega = bounds.omega_for_probability(p_min, params)
-        sel = bounds.snr_floor_selection(params, omega)
-        cont = bounds.snr_floor_continuation(params, omega)
-        floor = max(sel, cont)
-        rows.append((p_min, omega, sel, cont, floor, 10.0 * math.log10(floor)))
-    return rows
+        rows.append(cells)
+    return header, rows
 
 
 def _parse_grid(spec: str):
@@ -211,21 +218,11 @@ def _parse_grid(spec: str):
 
 
 def _cmd_bounds(args) -> int:
-    if args.sweep == "k":
-        lines = ["k,mapping_lower_probabilistic,mapping_lower_quadratic,mapping_lower_linear"]
-        for k, cells in _mapping_rows(args.m, args.mu, args.rho, args.k_min, args.k_max):
-            lines.append(f"{k}," + ",".join(cells))
-    elif args.sweep == "sv":
-        lines = ["k,singular_lower,singular_upper,prob_floor"]
-        for k in bounds.sparsity_levels(args.k_min, args.k_max, args.m):
-            lo, hi, floor = bounds.singular_value_bounds(k, args.m, args.rho)
-            lines.append(f"{k},{lo:.17g},{hi:.17g},{floor:.17g}")
-    else:
-        grid = _parse_grid(args.grid)
-        lines = ["p_min,omega,snr_floor_selection,snr_floor_continuation,snr_min,snr_min_db"]
-        for row in _snr_rows(args.m, args.n, args.mu, args.k, args.rho, grid):
-            lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
+    sweep = BoundSweep(kind=args.sweep, m=args.m, n=args.n, mus=(args.mu,), rho=args.rho,
+                       k=args.k, k_range=(args.k_min, args.k_max),
+                       pmin_grid=tuple(_parse_grid(args.grid)))
+    header, rows = _bound_table(sweep, args.mu)
+    text = "".join(",".join(cells) + "\n" for cells in (header, *rows))
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -298,31 +295,25 @@ def _write_outputs(out_dir: Path, label: str, rows, outcomes, meta, config):
 
 def _write_bound_outputs(out_dir: Path, figure: str, sweep: BoundSweep):
     out_dir.mkdir(parents=True, exist_ok=True)
-    if sweep.kind == "mapping_k":
-        lines = ["k,mu,mapping_lower_probabilistic,mapping_lower_quadratic,mapping_lower_linear"]
-        series = {}
-        for mu in sweep.mus:
-            for k, cells in _mapping_rows(sweep.m, mu, sweep.slack, *sweep.k_range):
-                lines.append(f"{k},{mu:.17g}," + ",".join(cells))
-                for name, cell in zip(("probabilistic", "quadratic", "linear"), cells):
-                    if cell:
-                        series.setdefault(f"{name} mu={mu}", []).append((k, float(cell)))
-        svg = line_plot(
-            series, title=figure, x_label="sparsity K", y_label="mapping factor lower bound"
-        )
-    else:
-        lines = ["p_min,mu,omega,snr_floor_selection,snr_floor_continuation,snr_min,snr_min_db"]
-        series = {}
-        for mu in sweep.mus:
-            for row in _snr_rows(sweep.m, sweep.n, mu, sweep.k, sweep.slack, sweep.pmin_grid):
-                lines.append(f"{row[0]:.17g},{mu:.17g}," + ",".join(f"{v:.17g}" for v in row[1:]))
-                series.setdefault(f"mu={mu}", []).append((row[0], row[5]))
-        svg = line_plot(
-            series, title=figure, x_label="target probability", y_label="SNR floor (dB)"
-        )
-    (out_dir / f"{figure}.csv").write_text("\n".join(lines) + "\n")
-    (out_dir / f"{figure}.svg").write_text(svg)
-    print(f"{figure}: wrote {len(lines) - 1} rows")
+    x_label, y_label, drawn = {  # per drawn column, its legend's prefix
+        "k": ("sparsity K", "mapping factor lower bound",
+              {1: "probabilistic ", 2: "quadratic ", 3: "linear "}),
+        "pmin": ("target probability", "SNR floor (dB)", {5: ""}),
+    }[sweep.kind]
+    lines, series = [], {}
+    for mu in sweep.mus:
+        header, rows = _bound_table(sweep, mu)
+        for cells in rows:
+            lines.append(",".join([cells[0], f"{mu:.17g}", *cells[1:]]))
+            for col, name in drawn.items():
+                if cells[col]:
+                    series.setdefault(f"{name}mu={mu}", []).append(
+                        (float(cells[0]), float(cells[col])))
+    header.insert(1, "mu")
+    (out_dir / f"{figure}.csv").write_text("\n".join([",".join(header), *lines]) + "\n")
+    (out_dir / f"{figure}.svg").write_text(
+        line_plot(series, title=figure, x_label=x_label, y_label=y_label))
+    print(f"{figure}: wrote {len(lines)} rows")
 
 
 def _cmd_experiment(args) -> int:

@@ -93,8 +93,9 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not self.snr_grid_db:
-            raise ConfigError("snr_grid_db must be nonempty")
+        for key in ("snr_grid_db", "algorithms"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must be nonempty")
         for key in _FLOAT_FIELDS:
             value = getattr(self, key)
             snr = key == "snr_grid_db"

@@ -36,11 +36,11 @@ REFERENCE_MUS = (0.135, 0.109)
 class BoundSweep:
     """Closed-form sweep description (no Monte Carlo trials)."""
 
-    kind: str  # "mapping_k" or "snr_pmin"
+    kind: str  # the `bounds --sweep` names: "k", "sv" or "pmin"
     m: int
-    n: int
+    n: int  # read by "pmin" only
     mus: tuple[float, ...]
-    slack: float          # the rho passed to the closed-form bound calculators
+    rho: float
     k: int = 4
     k_range: tuple[int, int] = (1, 8)
     pmin_grid: tuple[float, ...] = PMIN_GRID
@@ -88,9 +88,9 @@ def _fig7(scale: str, n: int) -> ExperimentConfig:
 # own: fig5 writes it as ``<label>_mse.svg``.
 FIGURES = {
     "fig2a": lambda scale: BoundSweep(
-        kind="mapping_k", m=1024, n=8192, mus=REFERENCE_MUS, slack=0.15),
+        kind="k", m=1024, n=8192, mus=REFERENCE_MUS, rho=0.15),
     "fig2b": lambda scale: BoundSweep(
-        kind="snr_pmin", m=1024, n=8192, mus=REFERENCE_MUS, slack=0.15, k=4),
+        kind="pmin", m=1024, n=8192, mus=REFERENCE_MUS, rho=0.15, k=4),
     "fig3": lambda scale: [("fig3", _fig3(scale))],
     "fig4": lambda scale: [("fig4", _fig4(scale))],
     "fig5": lambda scale: [("fig5_k8", _fig5(scale, 8)), ("fig5_k12", _fig5(scale, 12))],

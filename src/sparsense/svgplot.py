@@ -16,6 +16,11 @@ PALETTE = (
 )
 
 
+def _escape(text: str) -> str:
+    """text as XML character data (xml.sax.saxutils would import MBs of urllib)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _axis(lo: float, hi: float, below: float, above: float, name: str) -> tuple[float, float]:
     """An axis range with a finite, positive span. A single value v becomes
     [v - below, v + above], the pads scaled to v's magnitude from 2**40 up, where
@@ -98,7 +103,8 @@ def line_plot(
     ]
     if title:
         out.append(
-            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>'
+            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="16">'
+            f'{_escape(title)}</text>'
         )
 
     # gridlines and ticks
@@ -139,13 +145,13 @@ def line_plot(
     if x_label:
         out.append(
             f'<text x="{MARGIN["left"] + plot_w / 2}" y="{HEIGHT - 16}" text-anchor="middle" '
-            f'font-size="13">{x_label}</text>'
+            f'font-size="13">{_escape(x_label)}</text>'
         )
     if y_label:
         cx, cy = 20, MARGIN["top"] + plot_h / 2
         out.append(
             f'<text x="{cx}" y="{cy}" text-anchor="middle" font-size="13" '
-            f'transform="rotate(-90 {cx} {cy})">{y_label}{" (log)" if logy else ""}</text>'
+            f'transform="rotate(-90 {cx} {cy})">{_escape(y_label)}{" (log)" if logy else ""}</text>'
         )
 
     # series
@@ -167,7 +173,8 @@ def line_plot(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" stroke-width="2"/>'
         )
         out.append(
-            f'<text x="{lx + 30}" y="{ly + 4}" font-size="12" fill="#333">{label}</text>'
+            f'<text x="{lx + 30}" y="{ly + 4}" font-size="12" fill="#333">'
+            f'{_escape(label)}</text>'
         )
 
     out.append("</svg>")

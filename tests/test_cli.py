@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsense.presets import SCALES
+from sparsense.presets import REFERENCE_MUS, SCALES
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -455,14 +455,28 @@ def test_bounds_sweep_pmin_csv():
     assert lines[0].split(",")[:2] == ["p_min", "omega"]
 
 
-def test_experiment_fig2a_outputs(tmp_path):
-    proc = run_cli("experiment", "--figure", "fig2a", "--out", str(tmp_path))
+@pytest.mark.parametrize("figure, first, count, sweep", [
+    ("fig2a", "k", 17,  # 8 sparsity levels x 2 coherences + header
+     "--sweep k --m 1024 --rho 0.15 --k-min 1 --k-max 8"),
+    ("fig2b", "p_min", 21,  # 10 target probabilities x 2 coherences + header
+     "--sweep pmin --m 1024 --n 8192 --rho 0.15 --k 4 --grid 0.9:0.01:0.99"),
+])
+def test_experiment_fig2a_outputs(tmp_path, figure, first, count, sweep):
+    """Each figure row is the ``bounds`` row at its coherence with a mu cell inserted."""
+    proc = run_cli("experiment", "--figure", figure, "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    csv_path = tmp_path / "fig2a.csv"
-    assert csv_path.exists() and (tmp_path / "fig2a.svg").exists()
+    csv_path = tmp_path / f"{figure}.csv"
+    assert csv_path.exists() and (tmp_path / f"{figure}.svg").exists()
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "k"
-    assert len(lines) == 17  # 8 sparsity levels x 2 coherences + header
+    assert lines[0].split(",")[0] == first
+    assert len(lines) == count
+    expected = []
+    for mu in REFERENCE_MUS:
+        table = run_cli("bounds", *sweep.split(), "--mu", repr(mu))
+        assert table.returncode == 0, table.stderr
+        header, *rows = (line.split(",") for line in table.stdout.splitlines())
+        expected += [[cells[0], f"{mu:.17g}", *cells[1:]] for cells in rows]
+    assert lines == [",".join([header[0], "mu", *header[1:]])] + [",".join(r) for r in expected]
 
 
 def test_experiment_custom_runs_and_replots(tmp_path):
@@ -697,6 +711,20 @@ def test_unknown_subcommand_is_usage_error():
     assert proc.returncode == 1
 
 
+def test_plot_escapes_its_text_so_the_svg_parses(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    from sparsense import cli
+
+    csv = tmp_path / "p.csv"
+    csv.write_text("grid,algorithm,prob_recovery\n1,a<b&c,0.5\n2,a<b&c,0.7\n")
+    svg = tmp_path / "p.svg"
+    assert cli.main(["plot", "--csv", str(csv), "--title", "R&D <x>", "--x-label", "x>0 & y",
+                     "--y-label", "<P>", "--out", str(svg)]) == 0
+    texts = [el.text for el in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert {"R&D <x>", "x>0 & y", "<P>", "a<b&c"} <= set(texts)
+
+
 def test_plot_log_scale(tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("grid,algorithm,prob_recovery,mse,mean_iterations,trials\n"
@@ -752,6 +780,7 @@ REPRODUCERS = [
     ("recover --matrix M --alg ols --k 2 --k-true 2 --snr=-5000", 2),
     ("experiment --figure fig3 --set trials=1 --set m=16 --set n=32 --set algorithms=ols "
      "--set snr_grid_db=-3100 --out out", 2),
+    ("experiment --figure fig3 --set trials=2 --set algorithms= --out out", 1),
     ("experiment --figure fig3 --set trials=1 --threads 0 --out out", 1),
     ("experiment --figure fig3 --set trials=1 --threads -3 --out out", 1),
     ("recover --matrix M --alg ols --k 2 --y M", 2),

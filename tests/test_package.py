@@ -9,7 +9,6 @@ PKG = Path(__file__).resolve().parents[1] / "src" / "sparsense"
 # public functions no program code calls yet, each kept for a planned use
 UNCALLED = {
     "min_component_snr": "the exact-support check of the theorem's SNR condition will call it",
-    "snr_min_requirement": "the exact-support check of the theorem's SNR condition will call it",
 }
 
 
