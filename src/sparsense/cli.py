@@ -22,8 +22,8 @@ from .errors import ConfigError, SparsenseError, read_text
 from .harness import (
     ALGORITHMS,
     BLIND,
+    REGISTRY,
     ExperimentConfig,
-    _run_algorithm,
     _synthesize,
     apply_overrides,
     blind_params_for,
@@ -139,7 +139,7 @@ def _cmd_recover(args) -> int:
         extra = {key: meta[key] for key in ("omega", "omega_star", "mu") if key in meta}
         if args.omega_star is None:
             extra.update(p_min=config.p_min, rho=config.rho)
-    result = _run_algorithm(args.alg, mat, y, config, blind, {})
+    result = REGISTRY[args.alg][1](mat, y, config, blind, None, None, None)
 
     payload = {
         "algorithm": args.alg,

@@ -16,6 +16,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .matgen import MeasurementMatrix, check_shape, gen_gaussian_normalized, gen
 from .recovery import (
     BlindStopParams,
     GreedyPath,
-    RecoveryResult,
     run_bols,
     run_bomp,
     run_cosamp,
@@ -34,7 +34,7 @@ from .recovery import (
     run_ols_known_k,
     run_omp_known_k,
 )
-from .streams import TAG_NOISE, TAG_SPECTRUM, stream
+from .streams import TAG_NOISE, TAG_SPECTRUM, _generator, stream
 
 CSV_HEADER = "grid,algorithm,prob_recovery,mse,mean_iterations,trials"
 SNR_DB_MAX = 3082.5  # from about 3082.55 dB on, 10**(snr_db/10) overflows a double
@@ -148,7 +148,7 @@ def gen_sparse_spectrum(n: int, k: int, mean: float, var: float, rng) -> SparseS
         raise InvalidParams(f"k={k} must be in [0, n={n}]")
     if var < 0:
         raise InvalidParams(f"variance must be >= 0, got {var}")
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    rng = _generator(rng)
     support = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     x = np.zeros(n)
     if k:
@@ -177,8 +177,7 @@ def calibrate_noise(d, x, snr_db: float, rng) -> tuple[np.ndarray, float]:
         raise ZeroSignal("cannot set a finite SNR for a zero signal")
     power = e.shape[0] * 10.0 ** (snr_db / 10.0)  # 0.0 once 10**(snr_db/10) underflows
     sigma = math.sqrt(energy / power) if power > 0.0 else math.inf
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    y = signal + sigma * rng.standard_normal(e.shape[0])
+    y = signal + sigma * _generator(rng).standard_normal(e.shape[0])
     with np.errstate(over="ignore"):  # an energy that overflows is refused, not warned about
         measured = float(y @ y)
     if not math.isfinite(measured):
@@ -203,24 +202,6 @@ def min_component_snr(d, x, sigma: float) -> float:
     return min(component_snr(d, x, sigma, int(q)) for q in nz)
 
 
-def _run_algorithm(
-    alg: str, d: MeasurementMatrix, y: np.ndarray, config: ExperimentConfig,
-    blind: BlindStopParams | None, paths: dict[str, GreedyPath], steps: dict | None = None,
-    factors: dict | None = None,
-) -> RecoveryResult:
-    """One algorithm on y; the greedy ones cut the trial's path of their rule,
-    which ``paths`` holds once any algorithm has asked for it. All of them,
-    MOLS's path included, share the trial's caches ``steps`` and ``factors``."""
-    if alg in BLIND and blind is None:
-        raise InvalidParams(f"algorithm {alg} needs blind stopping parameters")
-    if alg not in REGISTRY:
-        raise InvalidParams(f"unknown algorithm {alg!r}")
-    rule, runner = REGISTRY[alg]
-    if rule is not None and rule not in paths:
-        paths[rule] = GreedyPath(d, y, rule, steps, factors)
-    return runner(d, y, config, blind, paths.get(rule), steps, factors)
-
-
 def _synthesize(
     d: MeasurementMatrix, config: ExperimentConfig, trial_index: int, snr_db: float
 ) -> tuple[SparseSpectrum, np.ndarray]:
@@ -243,43 +224,42 @@ def _trial_outcomes(
     d: MeasurementMatrix,
     config: ExperimentConfig,
     trial_index: int,
-    snr_db: float,
-    runs: list[tuple[float, str, BlindStopParams | None]],
-    steps: dict | None = None,
-    factors: dict | None = None,
+    points: list[tuple[float, list[tuple[float, str, BlindStopParams | None]]]],
 ) -> list[TrialOutcome]:
-    """Outcomes of one trial for each (grid value, algorithm, blind parameters).
-
-    x and y are synthesized once and every run sees the same draw; runs
-    sharing a selection rule read their results from one greedy path.
-    """
-    spec, y = _synthesize(d, config, trial_index, snr_db)
-    xnorm = float(np.linalg.norm(spec.x))
-    paths: dict[str, GreedyPath] = {}
+    """Outcomes of one trial at each (SNR, runs) point, a run being (grid
+    value, algorithm, blind parameters). At each SNR x and y are synthesized
+    once for every run, and runs sharing a selection rule cut one greedy path.
+    All paths and solves of the trial, MOLS's too, share its step and factor caches."""
+    steps, factors = {}, {}
     outcomes = []
-    for grid_value, alg, blind in runs:
-        try:
-            result = _run_algorithm(alg, d, y, config, blind, paths, steps, factors)
-            stop_reason = result.stop_reason.value
-            x_hat = result.x_hat
-            iterations = result.iterations
-        except SparsenseError as exc:
-            stop_reason = type(exc).__name__
-            x_hat = np.zeros(config.n)
-            iterations = 0
-        err = float(np.linalg.norm(x_hat - spec.x))
-        rel = err / xnorm if xnorm > 0 else (0.0 if err == 0 else math.inf)
-        outcomes.append(TrialOutcome(
-            algorithm=alg,
-            grid=grid_value,
-            snr_db=snr_db,
-            trial_index=trial_index,
-            success=rel <= config.success_tolerance,
-            exact_support=sorted(int(i) for i in np.nonzero(x_hat)[0]) == spec.support,
-            mse_contrib=err * err / config.n,
-            iterations=iterations,
-            stop_reason=stop_reason,
-        ))
+    for snr_db, runs in points:
+        spec, y = _synthesize(d, config, trial_index, snr_db)
+        xnorm = float(np.linalg.norm(spec.x))
+        paths: dict[str, GreedyPath] = {}
+        for grid_value, alg, blind in runs:
+            rule, runner = REGISTRY[alg]
+            try:
+                if alg in BLIND and blind is None:
+                    raise InvalidParams(f"algorithm {alg} needs blind stopping parameters")
+                if rule is not None and rule not in paths:
+                    paths[rule] = GreedyPath(d, y, rule, steps, factors)
+                result = runner(d, y, config, blind, paths.get(rule), steps, factors)
+                x_hat, iterations, stop = result.x_hat, result.iterations, result.stop_reason.value
+            except SparsenseError as exc:
+                x_hat, iterations, stop = np.zeros(config.n), 0, type(exc).__name__
+            err = float(np.linalg.norm(x_hat - spec.x))
+            rel = err / xnorm if xnorm > 0 else (0.0 if err == 0 else math.inf)
+            outcomes.append(TrialOutcome(
+                algorithm=alg,
+                grid=grid_value,
+                snr_db=snr_db,
+                trial_index=trial_index,
+                success=rel <= config.success_tolerance,
+                exact_support=sorted(int(i) for i in np.nonzero(x_hat)[0]) == spec.support,
+                mse_contrib=err * err / config.n,
+                iterations=iterations,
+                stop_reason=stop,
+            ))
     return outcomes
 
 
@@ -326,33 +306,6 @@ def blind_params_for(config: ExperimentConfig, mu: float,
     return blind, meta
 
 
-def _collect(
-    d: MeasurementMatrix,
-    config: ExperimentConfig,
-    points: list[tuple[float, list[tuple[float, str, BlindStopParams | None]]]],
-    threads: int,
-) -> list[TrialOutcome]:
-    """Every trial's outcomes at each (SNR, runs) point, in trial-index order;
-    a trial runs every point with its step and factor caches, dropped when it ends.
-
-    ``threads`` above 1 maps trials over a thread pool, one trial per task.
-    On small matrices the pool is slower than serial: the interpreter lock is
-    held between the many small BLAS calls of a trial.
-    """
-
-    def one_trial(t):
-        steps, factors = {}, {}
-        return [o for snr_db, runs in points
-                for o in _trial_outcomes(d, config, t, snr_db, runs, steps, factors)]
-
-    if threads <= 1:
-        chunks = [one_trial(t) for t in range(config.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_trial, range(config.trials)))
-    return [o for chunk in chunks for o in chunk]
-
-
 def aggregate(outcomes: list[TrialOutcome], trials: int) -> list[MetricsRow]:
     """One row per (grid, algorithm), accumulated in trial-index order."""
     groups: dict[tuple[float, str], list[TrialOutcome]] = {}
@@ -383,7 +336,10 @@ def sweep(
     """One MetricsRow per (grid point, algorithm). A nonempty ``omega_grid``
     is swept at the first SNR with the blind threshold omega * mu directly (no
     rho subtraction), so the grid axis is the raw threshold scale; otherwise
-    the grid is ``snr_grid_db``, at the threshold ``blind_params_for`` calibrates."""
+    the grid is ``snr_grid_db``, at the threshold ``blind_params_for`` calibrates.
+
+    ``threads`` above 1 maps the trials over a thread pool, which on small matrices
+    is slower than serial: the GIL is held between a trial's many small BLAS calls."""
     config.validate()
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -404,7 +360,13 @@ def sweep(
             meta.update(blind_meta)
         points = [(snr_db, [(snr_db, alg, blind) for alg in config.algorithms])
                   for snr_db in config.snr_grid_db]
-    outcomes = _collect(d, config, points, threads)
+    if threads == 1:
+        chunks = [_trial_outcomes(d, config, t, points) for t in range(config.trials)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(_trial_outcomes, repeat(d), repeat(config),
+                                   range(config.trials), repeat(points)))
+    outcomes = [o for chunk in chunks for o in chunk]
     return aggregate(outcomes, config.trials), outcomes, meta
 
 

@@ -341,7 +341,9 @@ def run_cosamp(d, y, k: int, max_iterations: int = 50,
     """
     e = _entries(d)
     y = np.asarray(y, dtype=np.float64)
-    n = e.shape[1]
+    m, n = e.shape
+    if y.shape != (m,):
+        raise InvalidParams(f"y has shape {y.shape}, expected ({m},)")
     if k < 0:
         raise InvalidParams(f"k must be >= 0, got {k}")
     ynorm = float(np.linalg.norm(y))

@@ -23,6 +23,11 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _generator(rng) -> np.random.Generator:
+    """``rng`` if it is a Generator, else one seeded with it once it passes ``check_seed``."""
+    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(check_seed(rng))
+
+
 def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Independent generator for (seed, tag, index)."""
     if not 0 <= index < 2**48:

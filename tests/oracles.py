@@ -50,4 +50,4 @@ def run_trial(d, config, trial_index, algorithm_id, snr_db, blind, grid_value=No
     """One (trial, algorithm) outcome; the sweeps run all algorithms of a trial
     together and give the same outcomes."""
     grid = snr_db if grid_value is None else grid_value
-    return _trial_outcomes(d, config, trial_index, snr_db, [(grid, algorithm_id, blind)])[0]
+    return _trial_outcomes(d, config, trial_index, [(snr_db, [(grid, algorithm_id, blind)])])[0]

@@ -63,6 +63,19 @@ def test_spectrum_rejects_oversized_k():
         gen_sparse_spectrum(4, 5, 1.0, 0.01, 0)
 
 
+def test_synthesis_seeds_are_checked_and_numpy_integers_draw_like_ints():
+    d = gen_gaussian_normalized(16, 32, seed=0)
+    x = gen_sparse_spectrum(32, 3, 1.0, 0.01, 5).x
+    assert np.array_equal(gen_sparse_spectrum(32, 3, 1.0, 0.01, np.int64(5)).x, x)
+    assert np.array_equal(calibrate_noise(d, x, 10.0, np.uint64(7))[0],
+                          calibrate_noise(d, x, 10.0, 7)[0])
+    for seed in (None, -1):
+        with pytest.raises(ValueError, match=f"seed must be .*got {seed}"):
+            gen_sparse_spectrum(32, 3, 1.0, 0.01, seed)
+        with pytest.raises(ValueError, match=f"seed must be .*got {seed}"):
+            calibrate_noise(d, x, 10.0, seed)
+
+
 # ------------------------------------------------------------------------- noise
 
 def test_calibrate_infinite_snr():

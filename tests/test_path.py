@@ -11,6 +11,7 @@ from oracles import projection_residual_norm_sq, run_trial
 from sparsense.errors import InvalidParams, RankDeficient
 from sparsense.harness import (
     ExperimentConfig,
+    _trial_outcomes,
     blind_params_for,
     build_matrix,
     calibrate_noise,
@@ -26,6 +27,7 @@ from sparsense.recovery import (
     GreedyPath,
     run_bols,
     run_bomp,
+    run_cosamp,
     run_mols,
     run_ols_known_k,
     run_omp_known_k,
@@ -119,6 +121,8 @@ def test_path_rule_mismatch_and_bad_input_raise():
         GreedyPath(d, y, "cosamp")
     with pytest.raises(InvalidParams):
         GreedyPath(d, y[:-1], "ols")
+    with pytest.raises(InvalidParams, match=r"y has shape \(15,\), expected \(16,\)"):
+        run_cosamp(d, y[:-1], 2)
 
 
 # --------------------------------------------------------------- sweep equivalence
@@ -148,6 +152,12 @@ def test_sweep_snr_equals_per_algorithm_trials():
             for t in range(cfg.trials):
                 expect.append(run_trial(d, cfg, t, alg, snr_db, blind))
     assert by_key(outcomes) == by_key(expect)
+    # the sweep maps _trial_outcomes over the trials: trial t's outcomes, in order
+    points = [(snr_db, [(snr_db, alg, blind) for alg in cfg.algorithms])
+              for snr_db in cfg.snr_grid_db]
+    per_trial = len(outcomes) // cfg.trials
+    for t in range(cfg.trials):
+        assert _trial_outcomes(d, cfg, t, points) == outcomes[t * per_trial:(t + 1) * per_trial]
 
 
 def test_sweep_omega_equals_per_algorithm_trials():
@@ -165,6 +175,12 @@ def test_sweep_omega_equals_per_algorithm_trials():
                     grid_value=omega,
                 ))
     assert by_key(outcomes) == by_key(expect)
+    runs = [(omega, alg, BlindStopParams(omega_star=omega, mu=d.coherence)
+             if alg in ("bols", "bomp") else None) for omega in grid for alg in cfg.algorithms]
+    per_trial = len(runs)
+    for t in range(cfg.trials):
+        assert (_trial_outcomes(d, cfg, t, [(40.0, runs)])
+                == outcomes[t * per_trial:(t + 1) * per_trial])
 
 
 def test_blind_algorithm_without_parameters_is_captured_per_algorithm():
