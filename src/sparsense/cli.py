@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds
-from .errors import ConfigError, SparsenseError, read_text
+from .errors import ConfigError, InvalidParams, SparsenseError, read_text
 from .harness import (
     ALGORITHMS,
     BLIND,
@@ -139,7 +139,11 @@ def _cmd_recover(args) -> int:
         extra = {key: meta[key] for key in ("omega", "omega_star", "mu") if key in meta}
         if args.omega_star is None:
             extra.update(p_min=config.p_min, rho=config.rho)
-    result = REGISTRY[args.alg][1](mat, y, config, blind, None, None, None)
+    with np.errstate(over="ignore"):  # a result that overflows is refused, not warned about
+        result = REGISTRY[args.alg][1](mat, y, config, blind, None, None, None)
+    if not (math.isfinite(result.residual_norm_history[-1]) and np.isfinite(result.x_hat).all()):
+        source = args.y or f"snr_db={args.snr}"
+        raise InvalidParams(f"{source} makes the result of {args.alg} overflow")
 
     payload = {
         "algorithm": args.alg,
@@ -489,8 +493,8 @@ def build_parser() -> _Parser:
     e.add_argument("--out", default="out")
     e.add_argument("--seed", type=int, default=None, help="override base_seed")
     e.add_argument("--threads", type=int, default=1,
-                   help="worker threads over trials (default 1: on small matrices a pool "
-                        "is slower than serial, since the GIL is held between small BLAS calls)")
+                   help="worker threads over trials (default 1: a pool gains only on large matrices "
+                        "with BLAS pinned to one thread, and then about matches unpinned serial)")
     e.set_defaults(fn=_cmd_experiment, parser=e)
 
     pl = sub.add_parser("plot", help="re-plot a CSV as SVG (never re-runs trials)")

@@ -96,6 +96,10 @@ class ExperimentConfig:
         for key in ("snr_grid_db", "algorithms"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} must be nonempty")
+        for key in ("snr_grid_db", "algorithms", "omega_grid"):
+            values = getattr(self, key) or ()
+            if len(set(values)) < len(values):  # two grid points would share one aggregate row
+                raise ConfigError(f"config key {key!r} repeats a value; each may appear once")
         for key in _FLOAT_FIELDS:
             value = getattr(self, key)
             snr = key == "snr_grid_db"
@@ -148,7 +152,7 @@ def gen_sparse_spectrum(n: int, k: int, mean: float, var: float, rng) -> SparseS
         raise InvalidParams(f"k={k} must be in [0, n={n}]")
     if var < 0:
         raise InvalidParams(f"variance must be >= 0, got {var}")
-    rng = _generator(rng)
+    rng = _generator(rng, TAG_SPECTRUM)
     support = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     x = np.zeros(n)
     if k:
@@ -177,7 +181,7 @@ def calibrate_noise(d, x, snr_db: float, rng) -> tuple[np.ndarray, float]:
         raise ZeroSignal("cannot set a finite SNR for a zero signal")
     power = e.shape[0] * 10.0 ** (snr_db / 10.0)  # 0.0 once 10**(snr_db/10) underflows
     sigma = math.sqrt(energy / power) if power > 0.0 else math.inf
-    y = signal + sigma * _generator(rng).standard_normal(e.shape[0])
+    y = signal + sigma * _generator(rng, TAG_NOISE).standard_normal(e.shape[0])
     with np.errstate(over="ignore"):  # an energy that overflows is refused, not warned about
         measured = float(y @ y)
     if not math.isfinite(measured):
@@ -220,6 +224,7 @@ def _synthesize(
     return spec, y
 
 
+@np.errstate(over="ignore")  # an error that overflows is refused below, not warned about
 def _trial_outcomes(
     d: MeasurementMatrix,
     config: ExperimentConfig,
@@ -248,6 +253,8 @@ def _trial_outcomes(
             except SparsenseError as exc:
                 x_hat, iterations, stop = np.zeros(config.n), 0, type(exc).__name__
             err = float(np.linalg.norm(x_hat - spec.x))
+            if not math.isfinite(err * err):
+                raise InvalidParams(f"snr_db={snr_db} makes the error of {alg} overflow")
             rel = err / xnorm if xnorm > 0 else (0.0 if err == 0 else math.inf)
             outcomes.append(TrialOutcome(
                 algorithm=alg,

@@ -8,7 +8,7 @@ overridden with ``--set``. This module is the only definition of a figure
 sweep.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .harness import ALGORITHMS, ExperimentConfig
@@ -46,64 +46,50 @@ class BoundSweep:
     pmin_grid: tuple[float, ...] = PMIN_GRID
 
 
-def _fig3(scale: str) -> ExperimentConfig:
-    m, n, trials = (1024, 2048, 1000) if scale == "paper" else (256, 512, 300)
+def _hybrid(m: int, n: int, k: int, seed: int, **keys) -> ExperimentConfig:
     return ExperimentConfig(
-        family="gaussian", m=m, n=n, k=4, snr_grid_db=GAUSS_GRID,
-        algorithms=("bols", "ols"), trials=trials, base_seed=310,
+        family="hybrid", m=m, n=n, k=k, snr_grid_db=HYBRID_GRID,
+        algorithms=ALGORITHMS, trials=300, base_seed=seed, **keys,
     )
 
 
-def _fig4(scale: str) -> ExperimentConfig:
+# figure -> its desk-scale (label, ExperimentConfig) sweeps, or a BoundSweep for
+# the closed-form figures. Figure 6 (MSE) has no preset of its own: fig5 writes
+# it as ``<label>_mse.svg``.
+FIGURES = {
+    "fig2a": BoundSweep(kind="k", m=1024, n=8192, mus=REFERENCE_MUS, rho=0.15),
+    "fig2b": BoundSweep(kind="pmin", m=1024, n=8192, mus=REFERENCE_MUS, rho=0.15, k=4),
+    "fig3": [("fig3", ExperimentConfig(
+        family="gaussian", m=256, n=512, k=4, snr_grid_db=GAUSS_GRID,
+        algorithms=("bols", "ols"), trials=300, base_seed=310,
+    ))],
     # The omega plateau needs the low-coherence 1024 x 2048 matrix, so desk
     # scale only reduces the trial count. SNR operating point: 20 dB.
-    trials = 1000 if scale == "paper" else 100
-    return ExperimentConfig(
+    "fig4": [("fig4", ExperimentConfig(
         family="gaussian", m=1024, n=2048, k=4, snr_grid_db=(20.0,),
-        algorithms=("bols", "ols"), trials=trials, base_seed=410,
-        omega_grid=OMEGA_GRID,
-    )
-
-
-def _fig5(scale: str, k: int) -> ExperimentConfig:
-    trials = 1000 if scale == "paper" else 300
-    return ExperimentConfig(
-        family="hybrid", m=256, n=512, k=k, snr_grid_db=HYBRID_GRID,
-        algorithms=ALGORITHMS, trials=trials, base_seed=510 + k,
-    )
-
-
-def _fig7(scale: str, n: int) -> ExperimentConfig:
+        algorithms=("bols", "ols"), trials=100, base_seed=410, omega_grid=OMEGA_GRID,
+    ))],
+    "fig5": [(f"fig5_k{k}", _hybrid(256, 512, k, 510 + k)) for k in (8, 12)],
     # At M=128 and rho=0.175 the probability ceiling is ~0.70, so the usual
     # p_min=0.95 has no solution; these presets target 0.68 instead.
-    trials = 1000 if scale == "paper" else 300
-    return ExperimentConfig(
-        family="hybrid", m=128, n=n, k=8, snr_grid_db=HYBRID_GRID,
-        algorithms=ALGORITHMS, trials=trials, base_seed=710 + n, p_min=0.68,
-    )
-
-
-# figure -> builder(scale): a list of (label, ExperimentConfig) sweeps, or a
-# BoundSweep for the closed-form figures. Figure 6 (MSE) has no preset of its
-# own: fig5 writes it as ``<label>_mse.svg``.
-FIGURES = {
-    "fig2a": lambda scale: BoundSweep(
-        kind="k", m=1024, n=8192, mus=REFERENCE_MUS, rho=0.15),
-    "fig2b": lambda scale: BoundSweep(
-        kind="pmin", m=1024, n=8192, mus=REFERENCE_MUS, rho=0.15, k=4),
-    "fig3": lambda scale: [("fig3", _fig3(scale))],
-    "fig4": lambda scale: [("fig4", _fig4(scale))],
-    "fig5": lambda scale: [("fig5_k8", _fig5(scale, 8)), ("fig5_k12", _fig5(scale, 12))],
-    "fig7": lambda scale: [("fig7_a", _fig7(scale, 512)), ("fig7_b", _fig7(scale, 256))],
+    "fig7": [(label, _hybrid(128, n, 8, 710 + n, p_min=0.68))
+             for label, n in (("fig7_a", 512), ("fig7_b", 256))],
 }
+
+# Paper scale runs every Monte Carlo figure at 1000 trials, and these at full size.
+PAPER = {"fig3": {"m": 1024, "n": 2048}}
 
 
 def figure_preset(figure: str, scale: str | None = None):
-    """The sweeps of a named figure at a scale (None: desk), as ``FIGURES``
-    builds them."""
+    """The sweeps of a named figure at a scale (None: desk), fresh on each call:
+    ``FIGURES``'s, with 1000 trials and the figure's ``PAPER`` keys at paper scale."""
     scale = "desk" if scale is None else scale
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}; use one of {SCALES}")
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}")
-    return FIGURES[figure](scale)
+    preset = FIGURES[figure]
+    if isinstance(preset, BoundSweep):
+        return preset
+    keys = {"trials": 1000, **PAPER.get(figure, {})} if scale == "paper" else {}
+    return [(label, replace(config, **keys)) for label, config in preset]

@@ -23,9 +23,10 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _generator(rng) -> np.random.Generator:
-    """``rng`` if it is a Generator, else one seeded with it once it passes ``check_seed``."""
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(check_seed(rng))
+def _generator(rng, tag: int) -> np.random.Generator:
+    """``rng`` if it is a Generator, else the stream (rng, tag, 0), which is
+    trial 0's stream under that seed."""
+    return rng if isinstance(rng, np.random.Generator) else stream(rng, tag)
 
 
 def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
@@ -34,4 +35,3 @@ def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
         raise ValueError(f"stream index out of range: {index}")
     key = np.array([check_seed(seed), (tag << 48) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-

@@ -551,6 +551,9 @@ def one_error_line(proc):
     ("--set", "algorithms=mols", "--set", "mols_subset=0"),
     ("--set", "max_blind_iterations=3"),  # deleted keys are unknown
     ("--set", "cosamp_max_iterations=10"),
+    ("--set", "snr_grid_db=10,10"),  # a repeated value would merge two grid points
+    ("--set", "algorithms=bols,ols,bols"),
+    ("--set", "omega_grid=1.0,1.0"),
 ])
 def test_experiment_bad_values_are_usage_errors(tmp_path, args):
     proc = run_cli("experiment", "--figure", "fig3", *args, "--out", str(tmp_path))
@@ -637,6 +640,18 @@ def test_recover_nan_or_minus_infinite_snr_is_domain_error(matrix_file, snr):
     assert proc.returncode == 2
     assert one_error_line(proc) and "snr_db" in proc.stderr, proc.stderr
     assert proc.stdout == ""
+
+
+def test_recover_result_that_overflows_is_domain_error(tmp_path):
+    path = tmp_path / "h.bin"
+    proc = run_cli("gen-matrix", "--family", "hybrid", "--m", "256", "--n", "512",
+                   "--seed", "518", "--out", str(path))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("recover", "--matrix", str(path), "--alg", "cosamp", "--k", "8",
+                   "--k-true", "8", "--snr=-3055", "--seed", "5")
+    assert proc.returncode == 2
+    assert one_error_line(proc) and "snr_db=-3055.0" in proc.stderr and "cosamp" in proc.stderr
+    assert "Infinity" not in proc.stdout
 
 
 def test_recover_negative_k_true_is_domain_error(matrix_file):

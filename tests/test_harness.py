@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from sparsense.harness import (
     sweep,
 )
 from sparsense.matgen import gen_gaussian_normalized
+from sparsense.presets import figure_preset
 from sparsense.recovery import BlindStopParams, run_ols_known_k
 from sparsense.streams import TAG_NOISE, TAG_SPECTRUM, stream
 
@@ -69,6 +71,11 @@ def test_synthesis_seeds_are_checked_and_numpy_integers_draw_like_ints():
     assert np.array_equal(gen_sparse_spectrum(32, 3, 1.0, 0.01, np.int64(5)).x, x)
     assert np.array_equal(calibrate_noise(d, x, 10.0, np.uint64(7))[0],
                           calibrate_noise(d, x, 10.0, 7)[0])
+    # an integer seed draws trial 0's Philox stream of that seed, as a sweep does
+    assert np.array_equal(gen_sparse_spectrum(32, 3, 1.0, 0.01, 7).x,
+                          gen_sparse_spectrum(32, 3, 1.0, 0.01, stream(7, TAG_SPECTRUM, 0)).x)
+    assert np.array_equal(calibrate_noise(d, x, 10.0, 7)[0],
+                          calibrate_noise(d, x, 10.0, stream(7, TAG_NOISE, 0))[0])
     for seed in (None, -1):
         with pytest.raises(ValueError, match=f"seed must be .*got {seed}"):
             gen_sparse_spectrum(32, 3, 1.0, 0.01, seed)
@@ -388,6 +395,15 @@ def test_validate_rejects_non_finite_floats_naming_the_key(key, raw):
         config_from_mapping({key: f"1, {raw}" if isinstance(value, tuple) else raw})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("snr_grid_db", (10.0, 10.0)), ("snr_grid_db", (0.0, -0.0)),
+    ("algorithms", ("bols", "ols", "bols")), ("omega_grid", (1.0, 1.3, 1.0)),
+])
+def test_validate_refuses_a_repeated_grid_value_or_algorithm(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}' repeats"):
+        small_config(**{key: value})
+
+
 def test_validate_keeps_the_noiseless_grid_point():
     assert small_config(snr_grid_db=(10.0, math.inf)).snr_grid_db == (10.0, math.inf)
 
@@ -399,6 +415,14 @@ def test_validate_keeps_the_noiseless_grid_point():
 def test_build_matrix_turns_out_of_range_values_into_config_errors(kw):
     with pytest.raises(ConfigError):
         build_matrix(replace(small_config(), **kw))
+
+
+def test_a_trial_error_that_overflows_is_refused_without_a_warning():
+    config = replace(figure_preset("fig5")[0][1], trials=3, snr_grid_db=(-3055.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning fails the test
+        with pytest.raises(InvalidParams, match="snr_db=-3055.0 .*cosamp"):
+            sweep(config)
 
 
 def test_overrides():

@@ -15,9 +15,9 @@ UNCALLED = {
 def test_every_public_function_is_used_by_the_package():
     """Each public module-level function of a module other than ``__init__``
     is referred to by code of such a module: by its bare name, or as an
-    attribute of its module (``bounds.omega_for_probability``). Its re-export
-    in ``__init__``, an import, a docstring or a same-named attribute of
-    another object (``d.coherence``) is not a use."""
+    attribute of its module (``bounds.omega_for_probability``). An import, a
+    docstring or a same-named attribute of another object (``d.coherence``)
+    is not a use."""
     trees = {p.stem: ast.parse(p.read_text()) for p in PKG.glob("*.py") if p.stem != "__init__"}
     used = set()
     for tree in trees.values():
@@ -30,3 +30,10 @@ def test_every_public_function_is_used_by_the_package():
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                 and node.name not in used and f"{module}.{node.name}" not in used}
     assert uncalled == set(UNCALLED)
+
+
+def test_the_package_init_re_exports_nothing():
+    """Each name is imported from the module that defines it, so the package
+    ``__init__`` holds no import statement."""
+    tree = ast.parse((PKG / "__init__.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
