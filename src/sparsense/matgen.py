@@ -9,12 +9,13 @@ gives the same draws.
 
 Coherence: the Gram matrix's upper triangle in 256 x 256 tiles, a float32 screen
 of every tile, then a float64 rescan of only the tiles within 2δ of the screen's
-largest, bit-identical to a float64 scan of every 256-column block times the
-columns from its start. Scratch is two float32 M x 256 panels and one tile
-product, whatever N is.
+largest. Every product has one shape, two zero-padded panels of 256 columns and
+256·⌈M/256⌉ rows, so BLAS rounds it alike at 1 and 2 threads, and μ equals a
+float64 scan of every tile. Scratch is two panels and one tile, whatever N is.
 δ = (γ32_{M+2} + γ64_M)(1 + NORM_TOL)² bounds |G32 − G64|, γ_n = nu/(1 − nu) (Higham §3.1).
 """
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -76,42 +77,41 @@ class MeasurementMatrix:
         return self._coherence
 
 
-def _tile_max(gram: np.ndarray, diagonal: bool) -> float:
-    """Largest |G| of a Gram tile, its leading diagonal zeroed in place first when the
-    tile holds the Gram diagonal; no |G| copy."""
-    if diagonal:
-        idx = np.arange(min(gram.shape))
-        gram[idx, idx] = 0.0
-    return float(max(gram.max(), -gram.min()))
+def _tile_maxima(entries: np.ndarray, dtype, tiles) -> dict:
+    """Largest off-diagonal |G| of each Gram tile (s, t) in ``tiles``, columns [s, s + 256)
+    against [t, t + 256), from panels cast to ``dtype``. A left side that needs no cast
+    and no padding is a view of ``entries``; a panel is allocated on first use."""
+    (m, n), b = entries.shape, _COH_BLOCK
+    rows, panels, maxima = -(-m // b) * b, {}, {}
+
+    def panel(side, c):
+        if side not in panels:
+            panels[side] = np.zeros((rows, b), dtype, order="F")
+        p = panels[side]
+        p[:m, :n - c] = entries[:, c:c + b]
+        p[:m, n - c:] = 0.0  # a narrow last block: clear the previous block's columns
+        return p
+
+    for s, run in itertools.groupby(tiles, key=lambda tile: tile[0]):  # tiles come by s
+        view = dtype == entries.dtype and rows == m and s + b <= n
+        left = entries[:, s:s + b] if view else panel("left", s)
+        for _, t in run:
+            gram = panel("right", t).T @ left
+            if s == t:
+                np.fill_diagonal(gram, 0.0)
+            maxima[s, t] = float(max(gram.max(), -gram.min()))  # no |G| copy
+    return maxima
 
 
 def _coherence_of(entries: np.ndarray) -> float:
-    """Max off-diagonal |G| of the upper triangle, in tiles of rows [s, s + 256) times
-    columns [t, t + 256), t >= s: a float32 screen of every tile from two reused panels,
-    then a float64 rescan of the tiles within 2δ of the screen's largest.
-
-    The float64 rescan reproduces the row products [s, N) of a plain block scan bit for
-    bit. BLAS rounds a product's last N mod 8 columns by its width, and numpy multiplies
-    a block by itself with syrk, which rounds otherwise. So a rescanned tile from column
-    N - N mod 256 - 512 on is widened to run from there (or from s) to N, and a diagonal
-    tile to two tiles: each rescan product is then the whole row or 512 columns or more."""
+    """Max off-diagonal |G| of the upper triangle: a float32 screen of every tile, then a
+    float64 rescan of the tiles within 2δ of the screen's largest."""
     (m, n), b = entries.shape, _COH_BLOCK
-    left, right = (np.empty((m, b), np.float32, order="F") for _ in range(2))
-    screen = {}
-    for s in range(0, n, b):
-        lhs = left[:, :min(b, n - s)]
-        np.copyto(lhs, entries[:, s:s + b])
-        for t in range(s, n, b):
-            rhs = right[:, :min(b, n - t)]
-            np.copyto(rhs, entries[:, t:t + b])
-            screen[s, t] = _tile_max(rhs.T @ lhs, s == t)
+    screen = _tile_maxima(entries, np.float32, [(s, t) for s in range(0, n, b) for t in range(s, n, b)])
     delta = sum(k * v / (1 - k * v) for k, v in ((m + 2, 2.0**-24), (m, 2.0**-53)))
     cut = max(screen.values()) - 2.0 * delta * (1.0 + NORM_TOL) ** 2
-    tail = n - n % b - 2 * b if n % b else n
-    rescan = {(s, max(s, tail), n) if t >= tail else (s, t, min(n, t + (2 * b if s == t else b)))
-              for (s, t), v in screen.items() if v >= cut}
-    return min(1.0, max(_tile_max(entries[:, s:s + b].T @ entries[:, t:u], s == t)
-                        for s, t, u in rescan))  # unit columns: Cauchy-Schwarz
+    exact = _tile_maxima(entries, np.float64, [k for k, v in screen.items() if v >= cut])
+    return min(1.0, max(exact.values()))  # unit columns: Cauchy-Schwarz
 
 
 def check_shape(m: int, n: int):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -49,12 +50,17 @@ def edit_jsonl(path: Path, index: int, **fields):
     return recs[index]
 
 
+def largest_change(report: str, field: str) -> float:
+    return float(re.search(rf"\b{field} ([^,\n]+)", report).group(1))
+
+
 def test_identical_outputs_report_no_difference(sweep, copy, capsys):
     assert outdiff.main([str(sweep), str(copy)]) == 0
     out = capsys.readouterr().out
-    # 2 grid points x 2 algorithms: 4 CSV rows and 12 JSONL records
-    assert out == ("16 records compared, 0 discrete differences; "
-                   "largest relative change: mse 0, mse_contrib 0\n")
+    # 2 grid points x 2 algorithms: 4 CSV rows and 12 JSONL records, and the summary
+    assert out == ("17 records compared, 0 discrete differences; largest relative change: "
+                   "mse 0, mse_contrib 0, mu 0, omega 0, omega_star 0, probability_ceiling 0, "
+                   "sparsity_ceiling 0, stop_threshold 0\n")
 
 
 def test_a_flipped_decision_is_named_by_file_grid_algorithm_and_trial(sweep, copy, capsys):
@@ -65,7 +71,7 @@ def test_a_flipped_decision_is_named_by_file_grid_algorithm_and_trial(sweep, cop
         f"tiny.jsonl: grid {rec['grid']}, algorithm {rec['algorithm']}, "
         f"trial {rec['trial']}: iterations "
     )
-    assert out[-1].startswith("16 records compared, 1 discrete differences")
+    assert out[-1].startswith("17 records compared, 1 discrete differences")
 
 
 def test_a_csv_decision_field_differs(sweep, copy, capsys):
@@ -85,9 +91,27 @@ def test_continuous_fields_are_reported_not_refused(sweep, copy, capsys):
     edit_jsonl(path, 2, mse_contrib=rec["mse_contrib"] * (1 + 1e-6) + 1e-300)
     assert outdiff.main([str(sweep), str(copy)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("16 records compared, 0 discrete differences")
-    rel = float(out.rsplit("mse_contrib ", 1)[1])
-    assert 5e-7 < rel < 2e-6
+    assert out.startswith("17 records compared, 0 discrete differences")
+    assert 5e-7 < largest_change(out, "mse_contrib") < 2e-6
+
+
+def test_a_summary_reports_numbers_by_change_and_other_fields_as_differences(sweep, copy, capsys):
+    path = copy / "tiny_summary.json"
+    meta = json.loads(path.read_text())
+    meta["mu"] *= 1 + 1e-9
+    path.write_text(json.dumps(meta))
+    assert outdiff.main([str(sweep), str(copy)]) == 0
+    out = capsys.readouterr().out
+    assert 5e-10 < largest_change(out, "mu") < 2e-9
+    assert largest_change(out, "stop_threshold") == 0.0
+    meta["config"]["trials"] = 4
+    meta["omega_shared_by_blind_algorithms"] = False  # a bool is not a number here
+    path.write_text(json.dumps(meta))
+    assert outdiff.main([str(sweep), str(copy)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("tiny_summary.json: config {")
+    assert out[1] == "tiny_summary.json: omega_shared_by_blind_algorithms True != False"
+    assert out[2].startswith("17 records compared, 2 discrete differences")
 
 
 def test_missing_files_and_records_are_differences(sweep, copy, capsys):

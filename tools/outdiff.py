@@ -4,10 +4,12 @@
 
 Every discrete field must be equal. In each sweep CSV these are the grid,
 algorithm, prob_recovery, mean_iterations and trials of every row; in each
-JSONL, every field of every record but ``mse_contrib``. The continuous
-fields, the CSV's ``mse`` and the JSONL's ``mse_contrib``, are reported by
-their largest relative change. Summary and SVG files are not read, and a CSV
-with other columns (a closed-form figure's) is refused.
+JSONL, every field of every record but ``mse_contrib``; in each
+``<label>_summary.json``, every field that is not a number, the config
+included. The continuous fields, the CSV's ``mse``, the JSONL's
+``mse_contrib`` and each summary's numbers (``mu``, ``stop_threshold``, ...),
+are reported by their largest relative change. SVG files are not read, and a
+CSV with other columns (a closed-form figure's) is refused.
 
 Prints one line per difference, naming the file, grid, algorithm and trial,
 then a report line. Exits 0 when no discrete field differs, 1 when one does,
@@ -24,7 +26,10 @@ CONTINUOUS = {".csv": "mse", ".jsonl": "mse_contrib"}
 
 
 def _records(path: Path) -> dict[tuple, dict]:
-    """The file's records keyed by (grid, algorithm, trial); trial is None for CSV rows."""
+    """The file's records keyed by (grid, algorithm, trial); trial is None for CSV rows,
+    and a summary is one record keyed by ()."""
+    if path.suffix == ".json":
+        return {(): json.loads(path.read_text())}
     lines = path.read_text().splitlines()
     if path.suffix == ".jsonl":
         out = {}
@@ -46,10 +51,15 @@ def _rel_change(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def compare(a_dir: Path, b_dir: Path) -> tuple[list[str], int, dict[str, float]]:
     """Differences as report lines, the number of records compared, and the
     largest relative change of each continuous field."""
-    names = {p.name for d in (a_dir, b_dir) for p in d.iterdir() if p.suffix in CONTINUOUS}
+    names = {p.name for d in (a_dir, b_dir) for p in d.iterdir()
+             if p.suffix in CONTINUOUS or p.name.endswith("_summary.json")}
     diffs: list[str] = []
     count = 0
     largest = dict.fromkeys(CONTINUOUS.values(), 0.0)
@@ -59,20 +69,20 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[list[str], int, dict[str, float]]
             diffs.append(f"{name}: only in {pa.parent if pa.is_file() else pb.parent}")
             continue
         ra, rb = _records(pa), _records(pb)
-        loose = CONTINUOUS[pa.suffix]
+        loose = CONTINUOUS.get(pa.suffix)
         for key in sorted(ra.keys() | rb.keys(), key=str):
-            grid, alg, trial = key
-            where = f"{name}: grid {grid}, algorithm {alg}, trial {trial}"
+            where = name + (": grid {}, algorithm {}, trial {}".format(*key) if key else "")
             if key not in ra or key not in rb:
                 diffs.append(f"{where}: only in {a_dir if key in ra else b_dir}")
                 continue
             count += 1
             a, b = ra[key], rb[key]
             for field in sorted(a.keys() | b.keys()):
-                if field == loose:
-                    largest[loose] = max(largest[loose], _rel_change(a[field], b[field]))
-                elif a.get(field) != b.get(field):
-                    diffs.append(f"{where}: {field} {a.get(field)!r} != {b.get(field)!r}")
+                x, y = a.get(field), b.get(field)
+                if field == loose or (not key and _number(x) and _number(y)):
+                    largest[field] = max(largest.get(field, 0.0), _rel_change(x, y))
+                elif x != y:
+                    diffs.append(f"{where}: {field} {x!r} != {y!r}")
     return diffs, count, largest
 
 
