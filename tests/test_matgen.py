@@ -279,13 +279,26 @@ def planted(m, n, i, j, c=0.99, seed=12):
     return e
 
 
+PLANTED_CASES = [
+    (8, 549, 10, 548), (96, 582, 158, 577), (149, 1391, 482, 1387),  # a last N mod 8 column
+    (444, 1024, 300, 301),  # a diagonal tile, M above BLAS's depth block
+]
+
+
+@pytest.mark.parametrize("m,n,i,j", PLANTED_CASES)
+def test_coherence_largest_entry_where_tiles_round_otherwise_is_the_padded_scans(m, n, i, j):
+    """Products narrower than a row round these entries differently in BLAS; μ is the
+    planted pair's entry as the padded tile product rounds it, to the bit."""
+    e = planted(m, n, i, j)
+    assert assert_coherence_is_the_padded_scan(e) == pytest.approx(abs(e[:, i] @ e[:, j]), abs=1e-12)
+
+
 def test_coherence_is_the_same_at_one_and_two_blas_threads(tmp_path):
     """OpenBLAS rounds a product by its shape and its thread split, so a scan whose
     products follow N or M gave these μ one ulp apart at 1 and 2 threads: a largest pair
     in a last N mod 8 column, a diagonal tile with M above BLAS's depth block, and
     Gaussian 400 x 1024 matrices."""
-    mats = [planted(*c) for c in ((8, 549, 10, 548), (96, 582, 158, 577),
-                                  (149, 1391, 482, 1387), (444, 1024, 300, 301))]
+    mats = [planted(*c) for c in PLANTED_CASES]
     mats += [gen_gaussian_normalized(400, 1024, seed).entries for seed in (1, 2, 3)]
     paths = [str(tmp_path / f"{k}.npy") for k in range(len(mats))]
     for path, e in zip(paths, mats):
